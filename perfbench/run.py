@@ -37,8 +37,12 @@ WORK = ROOT / ".perfbench-work"
 # seed % BANK, so that every result can be checked against a hash recorded
 # in expected.json.
 BANK = 8
-SETUP_PROBES = 8
-WORKER_TIMEOUT_S = 150
+# Set-up probes run before every repetition, so that they sample the whole
+# window as the repetitions do.
+SETUP_PROBES_PER_REP = 3
+# Leaves a hung repetition started late in the window room to be counted
+# as failed before the run's 180 s limit.
+WORKER_TIMEOUT_S = 100
 
 
 def machine_record() -> dict:
@@ -83,6 +87,10 @@ def run_worker(job: dict | None, cwd: Path) -> tuple[float, dict | None, str]:
             proc.kill()
         request = "" if job is None else json.dumps(job) + "\n"
         out, err = proc.communicate(request, timeout=WORKER_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        return setup_s, None, f"timed out after {WORKER_TIMEOUT_S} s"
     except BaseException:
         proc.kill()
         proc.communicate()
@@ -114,7 +122,7 @@ def measure(workload: Workload, seed: int, seconds: float, trace: bool) -> dict:
     """Repetitions of one run; a traced run alternates untraced and traced."""
     work = WORK / workload.name
     template, stats = prepare(workload, seed % BANK, work)
-    setups = [run_worker(None, work)[0] for _ in range(SETUP_PROBES)]
+    setups = []
     plan = [False, True] if trace else [False]
     min_rounds = 2 if trace else 1
     reps = []
@@ -127,6 +135,7 @@ def measure(workload: Workload, seed: int, seconds: float, trace: bool) -> dict:
         for traced in plan:
             index = len(reps)
             job = dict(template, out_dir=f"rep{index}", trace=traced)
+            setups.extend(run_worker(None, work)[0] for _ in range(SETUP_PROBES_PER_REP))
             setup_s, result, err = run_worker(job, work)
             if result is None:
                 sys.stderr.write(f"repetition {index} failed:\n{err[-4000:]}\n")
@@ -166,15 +175,24 @@ def summarize(measured: dict, expected: str, trace: bool) -> tuple[dict[str, flo
             problems.append("deterministic counts differ between traced repetitions")
         if counts["learner.nodes"] != counts["ensemble.model_nodes"]:
             problems.append("learner.nodes differs from the node count of the returned models")
-        self_total = sum(v for k, v in r["layers"].items() if k.endswith(".self_s"))
-        if abs(self_total - r["cv_wall_s"]) > 1e-6 * r["cv_wall_s"]:
-            problems.append(f"layer self times add to {self_total}, not {r['cv_wall_s']}")
+        problems.extend(r["span_problems"])
     values = {name: median(name, [r["layers"] for r in traced]) for name in traced[0]["layers"]}
     values.update(traced[0]["counts"])
     values["experiment.result_bytes"] = traced[0]["result_bytes"]
     values["trace.cv_wall_s"] = median("cv_wall_s", traced)
-    values["trace.overhead_s"] = values["trace.cv_wall_s"] - median("cv_wall_s", untraced)
+    values["trace.overhead_s"] = median("tracer_s", traced)
     return values, problems
+
+
+def traced_minus_untraced(reps: list[dict]) -> float | None:
+    """Median traced minus median untraced cv_wall_s: the tracer plus noise."""
+    walls = {True: [], False: []}
+    for r in reps:
+        if r["result"] is not None:
+            walls[r["traced"]].append(r["result"]["cv_wall_s"])
+    if not walls[True] or not walls[False]:
+        return None
+    return statistics.median(walls[True]) - statistics.median(walls[False])
 
 
 def run(args: argparse.Namespace) -> int:
@@ -196,6 +214,7 @@ def run(args: argparse.Namespace) -> int:
         "machine": machine_record(),
         "problems": problems,
         "setup_s": measured["setups"],
+        "traced_minus_untraced_s": traced_minus_untraced(reps),
         "repetitions": [dict(r["result"] or {"failed": True}, traced=r["traced"]) for r in reps],
     }
     print(json.dumps(info))
@@ -217,10 +236,10 @@ def run(args: argparse.Namespace) -> int:
     return 0
 
 
-def record(names: list[str]) -> int:
+def record() -> int:
     """Record each bank input's hash, requiring n_jobs=1 and n_jobs=2 to agree."""
-    table = json.loads(EXPECTED.read_text()) if EXPECTED.exists() else {"sha256": {}}
-    for name in names:
+    table = {"sha256": {}}
+    for name in sorted(WORKLOADS):
         workload = WORKLOADS[name]
         work = WORK / f"record-{name}"
         hashes = []
@@ -242,7 +261,7 @@ def record(names: list[str]) -> int:
             print(name, seed, hashes[-1], flush=True)
         shutil.rmtree(work, ignore_errors=True)
         table["sha256"][name] = hashes
-        EXPECTED.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    EXPECTED.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -253,17 +272,14 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=36.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument(
-        "--record",
-        nargs="*",
-        metavar="WORKLOAD",
-        help="re-record expected.json for these workloads (default: all)",
+        "--record", action="store_true", help="re-record expected.json for every workload"
     )
     args = parser.parse_args()
     if not (SRC / "chainbalance" / "__init__.py").is_file():
         sys.stderr.write(f"no chainbalance sources under {SRC}\n")
         return 2
-    if args.record is not None:
-        return record(args.record or sorted(WORKLOADS))
+    if args.record:
+        return record()
     if args.workload is None:
         parser.error("--workload is required")
     return run(args)

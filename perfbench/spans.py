@@ -8,11 +8,14 @@ are derived from them when the run ends.
 
 from __future__ import annotations
 
+import statistics
 import threading
 import time
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -51,6 +54,7 @@ class Recorder:
     def __init__(self) -> None:
         self.spans: list[Span] = []
         self.counts: dict[str, int] = defaultdict(int)
+        self.add_calls = 0
         self._lock = threading.Lock()
         self._stacks: dict[int, list[int]] = defaultdict(list)
         self._main = threading.get_ident()
@@ -58,6 +62,7 @@ class Recorder:
     def add(self, name: str, value: int) -> None:
         with self._lock:
             self.counts[name] += int(value)
+            self.add_calls += 1
 
     def call(self, name: str, fn: Callable, *args, **kwargs):
         thread = threading.get_ident()
@@ -78,26 +83,8 @@ class Recorder:
     def install(self) -> None:
         """Wrap the layer boundaries of chainbalance in this process."""
         rec = self
-
-        def spanned(owner, attr: str, name: str, after=None) -> None:
-            original = getattr(owner, attr)
-
-            def wrapper(*args, **kwargs):
-                result = rec.call(name, original, *args, **kwargs)
-                if after is not None:
-                    after(result, *args, **kwargs)
-                return result
-
-            setattr(owner, attr, wrapper)
-
-        def counted(owner, attr: str, name: str) -> None:
-            original = getattr(owner, attr)
-
-            def wrapper(*args, **kwargs):
-                rec.add(name, 1)
-                return original(*args, **kwargs)
-
-            setattr(owner, attr, wrapper)
+        spanned = partial(_spanned, rec)
+        counted = partial(_counted, rec)
 
         def loaded(ds, arff_path, xml_path):
             rec.add("dataset.load_bytes", Path(arff_path).stat().st_size)
@@ -160,6 +147,60 @@ class Recorder:
         ensemble_mod._run_tasks = run_tasks_traced
 
 
+def _spanned(rec: Recorder, owner, attr: str, name: str, after=None) -> None:
+    """Replace owner.attr by a wrapper that records a span per call."""
+    original = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        result = rec.call(name, original, *args, **kwargs)
+        if after is not None:
+            after(result, *args, **kwargs)
+        return result
+
+    setattr(owner, attr, wrapper)
+
+
+def _counted(rec: Recorder, owner, attr: str, name: str) -> None:
+    """Replace owner.attr by a wrapper that counts its calls."""
+    original = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        rec.add(name, 1)
+        return original(*args, **kwargs)
+
+    setattr(owner, attr, wrapper)
+
+
+def recorder_cost() -> tuple[float, float]:
+    """Seconds the tracer adds per span and per counter increment.
+
+    Times a no-op function wrapped as install() wraps the program's
+    functions, against the bare no-op, and returns the medians over five
+    batches of 2000 calls.
+    """
+    calls = 2000
+
+    def noop() -> None:
+        return None
+
+    def per_call(fn: Callable) -> float:
+        started = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        return (time.perf_counter() - started) / calls
+
+    span_costs, add_costs = [], []
+    for _ in range(5):
+        rec = Recorder()
+        spanned, counted = SimpleNamespace(noop=noop), SimpleNamespace(noop=noop)
+        _spanned(rec, spanned, "noop", "calibrate.span")
+        _counted(rec, counted, "noop", "calibrate.count")
+        bare = per_call(noop)
+        span_costs.append(per_call(spanned.noop) - bare)
+        add_costs.append(per_call(counted.noop) - bare)
+    return statistics.median(span_costs), statistics.median(add_costs)
+
+
 class _HstackCounter:
     """Stands in for numpy inside chainbalance.chain, counting hstack bytes."""
 
@@ -211,6 +252,49 @@ def self_times(spans: list[Span]) -> dict[str, float]:
                 if open_children[parent] == 0:
                     leaves.add(parent)
     return totals
+
+
+def check_spans(spans: list[Span]) -> list[str]:
+    """Structural checks of one trace; returns up to five failures.
+
+    Every span must lie inside its parent's interval and must not overlap a
+    sibling on its own thread. When the whole trace ran on one thread, each
+    span's exclusive time (its duration minus its children's) must be
+    non-negative and, summed per layer, must equal self_times().
+    """
+    problems = []
+    children: dict[int, list[Span]] = defaultdict(list)
+    for index, span in enumerate(spans):
+        if span.parent is None:
+            continue
+        parent = spans[span.parent]
+        if span.start < parent.start or span.end > parent.end:
+            problems.append(f"span {index} {span.name} lies outside its parent {parent.name}")
+        children[span.parent].append(span)
+    for kids in children.values():
+        by_thread: dict[int, list[Span]] = defaultdict(list)
+        for kid in kids:
+            by_thread[kid.thread].append(kid)
+        for run in by_thread.values():
+            run.sort(key=lambda s: s.start)
+            for before, after in zip(run, run[1:]):
+                if after.start < before.end:
+                    problems.append(f"sibling spans {before.name} and {after.name} overlap")
+    if len({span.thread for span in spans}) == 1:
+        exclusive = dict.fromkeys(LAYERS, 0.0)
+        for index, span in enumerate(spans):
+            own = (span.end - span.start) - sum(k.end - k.start for k in children[index])
+            if own < 0:
+                problems.append(f"span {index} {span.name} has exclusive time {own}")
+            exclusive[span.layer] += own
+        swept = self_times(spans)
+        tolerance = 1e-6 * (spans[0].end - spans[0].start)
+        for layer in LAYERS:
+            if abs(exclusive[layer] - swept[layer]) > tolerance:
+                problems.append(
+                    f"{layer}: exclusive time {exclusive[layer]} differs from self time {swept[layer]}"
+                )
+    return problems[:5]
 
 
 def _accepted_draws(spans: list[Span]) -> int:

@@ -40,7 +40,7 @@ def main() -> None:
     )
     result: dict = {}
     if job["trace"]:
-        from spans import Recorder, layer_metrics
+        from spans import Recorder, check_spans, layer_metrics, recorder_cost
 
         rec = Recorder()
         rec.install()
@@ -49,6 +49,9 @@ def main() -> None:
         result["cv_wall_s"] = root.end - root.start
         result["layers"], result["counts"] = layer_metrics(rec)
         result["span_count"] = len(rec.spans)
+        result["span_problems"] = check_spans(rec.spans)
+        span_cost, add_cost = recorder_cost()
+        result["tracer_s"] = len(rec.spans) * span_cost + rec.add_calls * add_cost
         with open(job["trace_out"], "w") as handle:
             for span in rec.spans:
                 handle.write(json.dumps(span.__dict__) + "\n")
