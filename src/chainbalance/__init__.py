@@ -1,6 +1,6 @@
 """Imbalance-aware classifier chain ensembles for multi-label learning."""
 
-from .chain import ChainModel, ChainSpec, predict_chain, train_cc, train_ccru
+from .chain import ChainModel, ChainSpec, train_cc, train_ccru
 from .dataset import (
     DatasetSummary,
     LabelImbalanceStats,
@@ -18,11 +18,10 @@ from .ensemble import (
     EnsembleSpec,
     compute_classifier_budget,
     instance_budget,
-    predict_relevance,
     predict_relevance_batch,
     train_ensemble,
 )
-from .learner import BinaryModel, TreeSpec, fit_tree, predict, predict_batch
+from .learner import BinaryModel, TreeSpec, fit_tree, predict_batch
 from .metrics import (
     BinaryConfusion,
     MetricReport,
@@ -87,10 +86,7 @@ __all__ = [
     "load_mulan_files",
     "macro_average",
     "point_metric",
-    "predict",
     "predict_batch",
-    "predict_chain",
-    "predict_relevance",
     "predict_relevance_batch",
     "random_undersample",
     "reduce_features_by_frequency",

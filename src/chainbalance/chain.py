@@ -77,31 +77,42 @@ def _check_chain(ds: MultiLabelDataset, chain: ChainSpec) -> None:
         raise ValueError("chain references a label outside the dataset")
 
 
-def train_cc(
+def _train_chain(
     ds: MultiLabelDataset,
     chain: ChainSpec,
     spec: TreeSpec,
-    rng: RngStream,
+    rng: RngStream | None,
 ) -> ChainModel:
-    """Train a plain chain: link j sees the true values of earlier labels."""
+    """The link loop of both chain kinds; rng=None trains a plain chain."""
     _check_chain(ds, chain)
-    X = ds.features
     links = []
     counts = []
-    augmented = np.empty((ds.n, 0), dtype=np.float64)
+    X_aug = ds.features
     for offset, label in enumerate(chain.sequence):
         targets = ds.labels[:, label]
-        bd = BinaryDataset(np.hstack([X, augmented]), targets)
-        model = fit_tree(bd, spec, rng.child(offset))
+        bd = BinaryDataset(X_aug, targets)
+        if rng is not None:
+            if bd.positive_count == 0 or bd.negative_count == 0:
+                raise SingleClassLabel(
+                    f"label {label} is single-class in this training set"
+                )
+            bd = random_undersample(bd, rng.child(offset))
+        model = fit_tree(bd, spec)
         links.append((label, model))
         counts.append((bd.positive_count, bd.negative_count))
         if offset < len(chain) - 1:
-            augmented = np.hstack([augmented, targets.astype(np.float64)[:, None]])
+            column = targets if rng is None else predict_batch(model, X_aug)
+            X_aug = np.hstack([X_aug, column.astype(np.float64)[:, None]])
     return ChainModel(
         links=tuple(links),
         base_arity=ds.d,
         fit_class_counts=tuple(counts),
     )
+
+
+def train_cc(ds: MultiLabelDataset, chain: ChainSpec, spec: TreeSpec) -> ChainModel:
+    """Train a plain chain: link j sees the true values of earlier labels."""
+    return _train_chain(ds, chain, spec, None)
 
 
 def train_ccru(
@@ -116,29 +127,7 @@ def train_ccru(
     then predicts every row, balanced or not, to produce the next augmented
     column. Every chained label must have both classes present.
     """
-    _check_chain(ds, chain)
-    links = []
-    counts = []
-    X_aug = ds.features
-    for offset, label in enumerate(chain.sequence):
-        targets = ds.labels[:, label]
-        bd = BinaryDataset(X_aug, targets)
-        if bd.positive_count == 0 or bd.negative_count == 0:
-            raise SingleClassLabel(
-                f"label {label} is single-class in this training set"
-            )
-        balanced = random_undersample(bd, rng.child(offset))
-        model = fit_tree(balanced, spec)
-        links.append((label, model))
-        counts.append((balanced.positive_count, balanced.negative_count))
-        if offset < len(chain) - 1:
-            preds = predict_batch(model, X_aug).astype(np.float64)
-            X_aug = np.hstack([X_aug, preds[:, None]])
-    return ChainModel(
-        links=tuple(links),
-        base_arity=ds.d,
-        fit_class_counts=tuple(counts),
-    )
+    return _train_chain(ds, chain, spec, rng)
 
 
 def predict_chain_batch(model: ChainModel, X: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -156,18 +145,6 @@ def predict_chain_batch(model: ChainModel, X: np.ndarray) -> list[tuple[int, np.
         if offset < len(model.links) - 1:
             X_aug = np.hstack([X_aug, preds.astype(np.float64)[:, None]])
     return votes
-
-
-def predict_chain(model: ChainModel, x: np.ndarray) -> list[tuple[int, int]]:
-    """Sequential traversal for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape[0] != model.base_arity:
-        raise ArityMismatch(
-            f"expected {model.base_arity} features, got {x.shape[0]}"
-        )
-    return [
-        (label, int(pred[0])) for label, pred in predict_chain_batch(model, x[None, :])
-    ]
 
 
 def chain_to_dict(model: ChainModel) -> dict:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from io import StringIO
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from .errors import (
     AllLabelsDegenerate,
+    ConfigError,
     MalformedArff,
     MissingLabelAttribute,
     NonBinaryLabel,
@@ -518,7 +518,7 @@ def reduce_features_by_frequency(
     their original relative order. Labels are untouched.
     """
     if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError("keep_fraction must be in (0, 1]")
+        raise ConfigError("keep_fraction must be in (0, 1]")
     if keep_fraction == 1.0:
         return ds
     keep = math.ceil(keep_fraction * ds.d)

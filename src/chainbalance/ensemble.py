@@ -1,6 +1,7 @@
 """Ensemble trainers: binary-relevance baselines and chain ensembles.
 
-Seven methods share one model shape. BR fits one tree per label on the full
+Seven methods share one model shape and one round builder, and differ only
+in four switches (see _METHOD_TABLE). BR fits one tree per label on the full
 data; BRUS balances each binary set first; EBRUS bags BRUS over bootstrap
 rounds. ECC bags plain chains over bootstrap resamples and random label
 orders; ECCRU does the same with undersampled chains. ECCRU2 redistributes
@@ -16,6 +17,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -41,12 +43,40 @@ from .errors import (
 from .learner import TreeSpec, fit_tree
 from .sampling import BinaryDataset, RngStream, bootstrap, random_undersample
 
-METHODS = ("BR", "BRUS", "EBRUS", "ECC", "ECCRU", "ECCRU2", "ECCRU3")
-_CHAIN_METHODS = ("ECC", "ECCRU", "ECCRU2", "ECCRU3")
 
-# Substream layout under a per-work-item stream: bootstrap attempts at
+@dataclass(frozen=True)
+class _Method:
+    """The switches that tell the seven methods apart.
+
+    bagged: c bootstrap rounds over all labels, instead of one unsampled
+        round per label.
+    chained: a round's labels form one chain in random order, instead of
+        one single-link chain per label.
+    undersampled: every link fits on a balanced subset.
+    budgeted: with two or more labels, the rounds follow the classifier
+        budget (ECCRU2/3) instead of c uniform rounds.
+    """
+
+    bagged: bool
+    chained: bool
+    undersampled: bool
+    budgeted: bool
+
+
+_METHOD_TABLE = {
+    "BR": _Method(bagged=False, chained=False, undersampled=False, budgeted=False),
+    "BRUS": _Method(bagged=False, chained=False, undersampled=True, budgeted=False),
+    "EBRUS": _Method(bagged=True, chained=False, undersampled=True, budgeted=False),
+    "ECC": _Method(bagged=True, chained=True, undersampled=False, budgeted=False),
+    "ECCRU": _Method(bagged=True, chained=True, undersampled=True, budgeted=False),
+    "ECCRU2": _Method(bagged=True, chained=True, undersampled=True, budgeted=True),
+    "ECCRU3": _Method(bagged=True, chained=True, undersampled=True, budgeted=True),
+}
+METHODS = tuple(_METHOD_TABLE)
+
+# Substream layout under a per-round stream: bootstrap attempts at
 # child(0, attempt), chain permutation at child(1), link training at
-# child(2). Fixed so parallel and sequential builds are identical.
+# child(2, link). Fixed so parallel and sequential builds are identical.
 _BOOT = 0
 _PERMUTE = 1
 _TRAIN = 2
@@ -180,14 +210,6 @@ def chain_label_sets(targets: list[int] | tuple[int, ...], max_rounds: int) -> l
     return rounds
 
 
-def _actual_counts(targets: tuple[int, ...], max_rounds: int) -> list[int]:
-    counts = [0] * len(targets)
-    for labels in chain_label_sets(targets, max_rounds):
-        for j in labels:
-            counts[j] += 1
-    return counts
-
-
 def _bootstrap_with_classes(
     ds: MultiLabelDataset,
     stream: RngStream,
@@ -210,33 +232,54 @@ def _bootstrap_with_classes(
     )
 
 
-def _permute(labels: list[int], stream: RngStream) -> ChainSpec:
+def _permute(labels: tuple[int, ...], stream: RngStream) -> ChainSpec:
     gen = stream.generator()
     order = gen.permutation(len(labels))
     return ChainSpec(tuple(labels[i] for i in order))
 
 
-def _single_link_model(ds: MultiLabelDataset, label: int, tree: TreeSpec) -> ChainModel:
+def _single_link(
+    ds: MultiLabelDataset, label: int, tree: TreeSpec, stream: RngStream | None
+) -> ChainModel:
+    """A one-link chain; with a stream, the link fits on a balanced subset."""
     bd = BinaryDataset(ds.features, ds.labels[:, label])
-    model = fit_tree(bd, tree)
+    if stream is not None:
+        bd = random_undersample(bd, stream)
     return ChainModel(
-        links=((label, model),),
+        links=((label, fit_tree(bd, tree)),),
         base_arity=ds.d,
         fit_class_counts=((bd.positive_count, bd.negative_count),),
     )
 
 
-def _single_link_undersampled(
-    ds: MultiLabelDataset, label: int, tree: TreeSpec, stream: RngStream
-) -> ChainModel:
-    bd = BinaryDataset(ds.features, ds.labels[:, label])
-    balanced = random_undersample(bd, stream)
-    model = fit_tree(balanced, tree)
-    return ChainModel(
-        links=((label, model),),
-        base_arity=ds.d,
-        fit_class_counts=((balanced.positive_count, balanced.negative_count),),
-    )
+def _train_round(
+    ds: MultiLabelDataset,
+    labels: tuple[int, ...],
+    stream: RngStream,
+    method: _Method,
+    tree: TreeSpec,
+) -> list[ChainModel]:
+    """Build one round: an optional bootstrap, then one chain over the labels
+    in random order or one single-link chain per label."""
+    if method.bagged:
+        required = labels if method.undersampled else ()
+        ds = _bootstrap_with_classes(ds, stream.child(_BOOT), required)
+    if method.chained:
+        order = _permute(labels, stream.child(_PERMUTE))
+        if method.undersampled:
+            return [train_ccru(ds, order, tree, stream.child(_TRAIN))]
+        return [train_cc(ds, order, tree)]
+    models = []
+    for j, label in enumerate(labels):
+        link_stream = None
+        if method.undersampled:
+            # An unbagged round holds one label, which undersamples from the
+            # substream a bootstrap would have drawn.
+            link_stream = (
+                stream.child(_TRAIN, j) if method.bagged else stream.child(_BOOT)
+            )
+        models.append(_single_link(ds, label, tree, link_stream))
+    return models
 
 
 def _run_tasks(tasks: list[Callable[[], list[ChainModel]]], n_jobs: int) -> list[ChainModel]:
@@ -254,9 +297,10 @@ def train_ensemble(
     """Train the configured method on a dataset.
 
     Single-class labels are excluded from every chain and served by constant
-    predictions. Work items (chains, or per-label fits) may run concurrently;
-    each derives its own substream from (seed, item index), so the result is
-    independent of n_jobs.
+    predictions. The method's switches turn into a list of rounds, each a
+    tuple of labels; rounds may run concurrently, and each derives its own
+    substream from (seed, round index), so the result is independent of
+    n_jobs.
     """
     stats = all_label_stats(ds)
     skipped = {
@@ -267,77 +311,27 @@ def train_ensemble(
     eligible = [s.label_index for s in stats if s.minority_count > 0]
     if not eligible:
         raise NoTrainableLabels("every label is single-class")
-    root = RngStream(spec.seed)
-    tree = spec.tree
-    tasks: list[Callable[[], list[ChainModel]]] = []
-
-    method = spec.method
-    if method in ("ECCRU2", "ECCRU3") and len(eligible) < 2:
-        # Partial chains need at least two labels per round; degrade to the
-        # uniform-chain build.
-        method = "ECCRU"
-
-    if method == "BR":
-        for label in eligible:
-            tasks.append(lambda label=label: [_single_link_model(ds, label, tree)])
-    elif method == "BRUS":
-        for idx, label in enumerate(eligible):
-            stream = root.child(idx).child(_BOOT)
-            tasks.append(
-                lambda label=label, stream=stream: [
-                    _single_link_undersampled(ds, label, tree, stream)
-                ]
-            )
-    elif method == "EBRUS":
-        for i in range(spec.c):
-            round_stream = root.child(i)
-
-            def build_round(round_stream=round_stream) -> list[ChainModel]:
-                sample = _bootstrap_with_classes(
-                    ds, round_stream.child(_BOOT), tuple(eligible)
-                )
-                return [
-                    _single_link_undersampled(
-                        sample, label, tree, round_stream.child(_TRAIN, j)
-                    )
-                    for j, label in enumerate(eligible)
-                ]
-
-            tasks.append(build_round)
-    elif method in ("ECC", "ECCRU"):
-        for i in range(spec.c):
-            chain_stream = root.child(i)
-
-            def build_chain(chain_stream=chain_stream, method=method) -> list[ChainModel]:
-                if method == "ECC":
-                    sample = bootstrap(ds, chain_stream.child(_BOOT, 0))
-                else:
-                    sample = _bootstrap_with_classes(
-                        ds, chain_stream.child(_BOOT), tuple(eligible)
-                    )
-                order = _permute(eligible, chain_stream.child(_PERMUTE))
-                trainer = train_cc if method == "ECC" else train_ccru
-                return [trainer(sample, order, tree, chain_stream.child(_TRAIN))]
-
-            tasks.append(build_chain)
-    else:  # ECCRU2 / ECCRU3
+    method = _METHOD_TABLE[spec.method]
+    if not method.bagged:
+        rounds = [(label,) for label in eligible]
+    elif method.budgeted and len(eligible) >= 2:
         budget = compute_classifier_budget(
             [stats[j].minority_count for j in eligible], spec
         )
-        rounds = chain_label_sets(budget.targets, _int_floor(spec.c * spec.theta_max))
-        for i, positions in enumerate(rounds):
-            chain_stream = root.child(i)
-            labels = [eligible[p] for p in positions]
-
-            def build_partial(chain_stream=chain_stream, labels=tuple(labels)) -> list[ChainModel]:
-                sample = _bootstrap_with_classes(
-                    ds, chain_stream.child(_BOOT), labels
-                )
-                order = _permute(list(labels), chain_stream.child(_PERMUTE))
-                return [train_ccru(sample, order, tree, chain_stream.child(_TRAIN))]
-
-            tasks.append(build_partial)
-
+        max_rounds = _int_floor(spec.c * spec.theta_max)
+        rounds = [
+            tuple(eligible[p] for p in positions)
+            for positions in chain_label_sets(budget.targets, max_rounds)
+        ]
+    else:
+        # Partial chains need at least two labels per round; with fewer, the
+        # budgeted methods fall back to c uniform rounds.
+        rounds = [tuple(eligible)] * spec.c
+    root = RngStream(spec.seed)
+    tasks = [
+        partial(_train_round, ds, labels, root.child(i), method, spec.tree)
+        for i, labels in enumerate(rounds)
+    ]
     chains = _run_tasks(tasks, n_jobs)
     vote_counts = np.zeros(ds.q, dtype=np.int64)
     for chain in chains:
@@ -375,42 +369,20 @@ def predict_relevance_batch(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
     return votes
 
 
-def predict_relevance(model: EnsembleModel, x: np.ndarray) -> np.ndarray:
-    """Relevance degrees for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape[0] != model.base_arity:
-        raise ArityMismatch(
-            f"expected {model.base_arity} features, got {x.shape[0]}"
-        )
-    return predict_relevance_batch(model, x[None, :])[0]
+def instance_budget(ds: MultiLabelDataset, model: EnsembleModel) -> int:
+    """The paper's nominal training budget of a model trained on ds.
 
-
-def instance_budget(ds: MultiLabelDataset, spec: EnsembleSpec) -> int:
-    """Total training rows consumed by all classifier fits for this spec.
-
-    Balanced fits consume 2*m_j rows each. For the partial-chain methods the
-    count uses the classifiers actually built per label; with fewer than two
-    trainable labels those methods degrade to the uniform build and the
-    uniform budget is reported.
+    Sums over the classifiers the model holds: a plain fit counts n rows and
+    a balanced fit of label k counts 2*m_k, where m_k is label k's minority
+    count in ds. Bootstrap draws are not counted, so this is not the number
+    of rows actually fitted.
     """
+    undersampled = _METHOD_TABLE[model.method].undersampled
     stats = all_label_stats(ds)
-    minority = [s.minority_count for s in stats if s.minority_count > 0]
-    if not minority:
-        raise NoTrainableLabels("every label is single-class")
-    q = len(minority)
-    if spec.method == "BR":
-        return q * ds.n
-    if spec.method == "ECC":
-        return spec.c * q * ds.n
-    if spec.method == "BRUS":
-        return sum(2 * m for m in minority)
-    if spec.method in ("EBRUS", "ECCRU"):
-        return spec.c * sum(2 * m for m in minority)
-    if q < 2:
-        return spec.c * sum(2 * m for m in minority)
-    budget = compute_classifier_budget(minority, spec)
-    actual = _actual_counts(budget.targets, _int_floor(spec.c * spec.theta_max))
-    return sum(a * 2 * m for a, m in zip(actual, minority))
+    return sum(
+        int(count) * (2 * stats[k].minority_count if undersampled else ds.n)
+        for k, count in enumerate(model.vote_counts)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,12 @@ class ChainbalanceError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ConfigError(ChainbalanceError):
-    """Invalid configuration value or flag combination."""
+class ConfigError(ChainbalanceError, ValueError):
+    """Invalid configuration value or flag combination.
+
+    Also a ValueError, the usual type for an out-of-range argument, so the
+    library's value checks can raise it and the CLI still exits 2 on them.
+    """
 
 
 class DataError(ChainbalanceError):

@@ -17,11 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (
-    MultiLabelDataset,
-    load_mulan_files,
-    reduce_features_by_frequency,
-)
+from .dataset import load_mulan_files, reduce_features_by_frequency
 from .ensemble import (
     METHODS,
     EnsembleSpec,
@@ -164,7 +160,7 @@ def run_cv(config: ExperimentConfig) -> dict:
                         "fold": fold_idx,
                         "train_rows": int(train_ds.n),
                         "test_rows": int(test_ds.n),
-                        "instance_budget": instance_budget(train_ds, spec),
+                        "instance_budget": instance_budget(train_ds, model),
                         "classifier_counts": model.vote_counts.tolist(),
                         "report": report_to_dict(report),
                     }

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatch
-from .sampling import BinaryDataset, RngStream
+from .errors import ArityMismatch, ConfigError
+from .sampling import BinaryDataset
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,9 @@ class TreeSpec:
 
     def __post_init__(self) -> None:
         if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
+            raise ConfigError("min_samples_leaf must be >= 1")
         if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be None or >= 0")
+            raise ConfigError("max_depth must be None or >= 0")
 
 
 @dataclass(frozen=True)
@@ -107,15 +107,13 @@ def _best_split(
     return feat, threshold
 
 
-def fit_tree(bd: BinaryDataset, spec: TreeSpec, rng: RngStream | None = None) -> BinaryModel:
+def fit_tree(bd: BinaryDataset, spec: TreeSpec) -> BinaryModel:
     """Grow a tree on a binary dataset.
 
-    The search is exhaustive and deterministic; rng is accepted for interface
-    uniformity with the samplers and is not consumed. Feature orderings are
-    sorted once at the root and partitioned stably at each split, so no node
+    The search is exhaustive and deterministic. Feature orderings are sorted
+    once at the root and partitioned stably at each split, so no node
     re-sorts its rows.
     """
-    del rng
     if bd.n == 0:
         raise ValueError("cannot fit a tree on an empty dataset")
     X = bd.features
@@ -207,16 +205,6 @@ def predict_batch(model: BinaryModel, X: np.ndarray) -> np.ndarray:
         go_left = X[active, model.feature[cur]] <= model.threshold[cur]
         node[active] = np.where(go_left, model.left[cur], model.right[cur])
     return model.leaf_value[node].astype(np.int8)
-
-
-def predict(model: BinaryModel, x: np.ndarray) -> int:
-    """Predict a single feature vector."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape[0] != model.n_features:
-        raise ArityMismatch(
-            f"expected {model.n_features} features, got {x.shape[0]}"
-        )
-    return int(predict_batch(model, x[None, :])[0])
 
 
 def tree_to_dict(model: BinaryModel) -> dict:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import MultiLabelDataset
-from .errors import SingleClassInput
+from .errors import ConfigError, SingleClassInput
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,9 @@ def iterative_stratified_kfold(
     index arrays that partition [0, n).
     """
     if k < 2:
-        raise ValueError("k must be at least 2")
+        raise ConfigError("k must be at least 2")
     if ds.n < k:
-        raise ValueError("cannot split fewer rows than folds")
+        raise ConfigError("cannot split fewer rows than folds")
     gen = rng.generator()
     n, q = ds.n, ds.q
     labels = ds.labels

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
 
-import numpy as np
-
+from .errors import ConfigError
 from .sampling import RngStream
 
 
@@ -28,13 +27,13 @@ class ExploitationQuery:
 
     def __post_init__(self) -> None:
         if self.minority <= 0:
-            raise ValueError("minority count must be positive")
+            raise ConfigError("minority count must be positive")
         if self.majority < self.minority:
-            raise ValueError("majority count must be >= minority count")
+            raise ConfigError("majority count must be >= minority count")
         if self.chains < 1:
-            raise ValueError("need at least one chain")
+            raise ConfigError("need at least one chain")
         if self.runs < 1:
-            raise ValueError("need at least one run")
+            raise ConfigError("need at least one run")
 
 
 def exploitation_probability(query: ExploitationQuery) -> float:
@@ -81,7 +80,7 @@ def sweep(
     for i, m in enumerate(m_values):
         big = n - m
         if big < m:
-            raise ValueError(f"minority {m} exceeds half of n={n}")
+            raise ConfigError(f"minority {m} exceeds half of n={n}")
         query = ExploitationQuery(minority=m, majority=big, chains=c, runs=runs)
         rows.append(
             SweepRow(

@@ -128,12 +128,13 @@ def test_criterion_4_balance_and_budget_invariants():
                 noise_features=2,
                 seed=int(gen.integers(0, 2**31)),
             )
-            model = train_ensemble(
-                ds, EnsembleSpec(method="ECCRU", c=2, seed=trial)
-            )
-            for chain in model.chains:
-                for pos, neg in chain.fit_class_counts:
-                    assert pos == neg, "unbalanced fitting set"
+            for method in ("BRUS", "EBRUS", "ECCRU", "ECCRU2", "ECCRU3"):
+                model = train_ensemble(
+                    ds, EnsembleSpec(method=method, c=2, seed=trial)
+                )
+                for chain in model.chains:
+                    for pos, neg in chain.fit_class_counts:
+                        assert pos == neg, f"unbalanced fitting set in {method}"
 
             minority = [int(gen.integers(1, 300)) for _ in range(q)]
             c = int(gen.integers(1, 15))

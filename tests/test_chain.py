@@ -8,7 +8,6 @@ from chainbalance.chain import (
     ChainSpec,
     chain_from_dict,
     chain_to_dict,
-    predict_chain,
     predict_chain_batch,
     train_cc,
     train_ccru,
@@ -20,6 +19,11 @@ from chainbalance.sampling import BinaryDataset, RngStream
 from conftest import dataset_with_label_counts, make_dataset
 
 UNLIMITED = TreeSpec(max_depth=None, min_samples_leaf=1)
+
+
+def _predict_row(chain: ChainModel, x) -> list[tuple[int, int]]:
+    row = np.asarray(x, dtype=np.float64)[None, :]
+    return [(label, int(preds[0])) for label, preds in predict_chain_batch(chain, row)]
 
 
 def _dataset(features, labels, q_names=None) -> MultiLabelDataset:
@@ -45,7 +49,7 @@ def test_chain_spec_validation():
 
 def test_train_cc_single_label_matches_plain_tree():
     ds = make_dataset(40, [0.4], seed=3)
-    chain = train_cc(ds, ChainSpec((0,)), UNLIMITED, RngStream(0))
+    chain = train_cc(ds, ChainSpec((0,)), UNLIMITED)
     assert chain.label_sequence == (0,)
     plain = fit_tree(BinaryDataset(ds.features, ds.labels[:, 0]), UNLIMITED)
     assert tree_to_dict(chain.links[0][1]) == tree_to_dict(plain)
@@ -53,7 +57,7 @@ def test_train_cc_single_label_matches_plain_tree():
 
 def test_train_cc_arity_progression():
     ds = make_dataset(30, [0.3, 0.5], seed=4)
-    chain = train_cc(ds, ChainSpec((0, 1)), UNLIMITED, RngStream(0))
+    chain = train_cc(ds, ChainSpec((0, 1)), UNLIMITED)
     assert chain.links[0][1].n_features == ds.d
     assert chain.links[1][1].n_features == ds.d + 1
 
@@ -64,7 +68,7 @@ def test_train_cc_uses_true_labels_for_augmentation():
     gen = np.random.default_rng(5)
     y0 = gen.integers(0, 2, size=60).astype(np.int8)
     ds = _dataset(gen.normal(size=(60, 3)), np.column_stack([y0, y0]))
-    chain = train_cc(ds, ChainSpec((0, 1)), UNLIMITED, RngStream(0))
+    chain = train_cc(ds, ChainSpec((0, 1)), UNLIMITED)
     link2 = chain.links[1][1]
     assert link2.feature[0] == ds.d  # splits on the augmented column
     augmented = np.hstack([ds.features, y0[:, None].astype(np.float64)])
@@ -102,7 +106,7 @@ def test_train_ccru_out_of_sample_augmentation():
 def test_predict_chain_single_link():
     ds = make_dataset(30, [0.5], seed=8)
     chain = train_ccru(ds, ChainSpec((0,)), UNLIMITED, RngStream(3))
-    votes = predict_chain(chain, ds.features[0])
+    votes = _predict_row(chain, ds.features[0])
     assert len(votes) == 1 and votes[0][0] == 0 and votes[0][1] in (0, 1)
 
 
@@ -112,15 +116,15 @@ def test_predict_chain_constant_second_link():
     X = np.array([[0.0], [1.0], [0.0], [1.0]])
     labels = np.array([[0, 0], [1, 0], [0, 0], [1, 0]], dtype=np.int8)
     ds = _dataset(X, labels)
-    chain = train_cc(ds, ChainSpec((0, 1)), UNLIMITED, RngStream(0))
-    assert predict_chain(chain, np.array([1.0])) == [(0, 1), (1, 0)]
-    assert predict_chain(chain, np.array([0.0])) == [(0, 0), (1, 0)]
+    chain = train_cc(ds, ChainSpec((0, 1)), UNLIMITED)
+    assert _predict_row(chain, np.array([1.0])) == [(0, 1), (1, 0)]
+    assert _predict_row(chain, np.array([0.0])) == [(0, 0), (1, 0)]
 
 
 def test_partial_chain_votes_subset():
     ds = make_dataset(50, [0.3, 0.4, 0.5], seed=9)
     chain = train_ccru(ds, ChainSpec((2, 0)), UNLIMITED, RngStream(4))
-    votes = predict_chain(chain, ds.features[0])
+    votes = _predict_row(chain, ds.features[0])
     assert [label for label, _ in votes] == [2, 0]
 
 
@@ -128,7 +132,7 @@ def test_chain_arity_mismatch():
     ds = make_dataset(20, [0.5], seed=10)
     chain = train_ccru(ds, ChainSpec((0,)), UNLIMITED, RngStream(5))
     with pytest.raises(ArityMismatch):
-        predict_chain(chain, np.zeros(ds.d + 1))
+        predict_chain_batch(chain, np.zeros((1, ds.d + 1)))
     with pytest.raises(ArityMismatch):
         predict_chain_batch(chain, np.zeros((3, ds.d + 2)))
 

@@ -58,6 +58,15 @@ def test_stats_malformed_arff_exits_3(runner, tmp_path):
     assert json.loads(result.stderr.strip().splitlines()[-1])["error"] == "MalformedArff"
 
 
+def test_stats_out_of_range_keep_fraction_exits_2(runner, dataset_files):
+    arff, xml = dataset_files
+    result = runner.invoke(
+        main, ["stats", "--arff", arff, "--xml", xml, "--feature-keep-fraction", "2"]
+    )
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr.strip().splitlines()[-1])["error"] == "ConfigError"
+
+
 def test_simulate_writes_csv(runner, tmp_path):
     out = tmp_path / "fig.csv"
     result = runner.invoke(
@@ -77,6 +86,22 @@ def test_simulate_stdout_and_validation(runner):
     assert result.output.startswith("minority,majority")
     bad = runner.invoke(main, ["simulate", "--m-start", "0"])
     assert bad.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n", "0"],
+        ["--c", "0"],
+        ["--runs", "0"],
+        ["--n", "1000", "--m-start", "600"],
+        ["--n", "1000", "--m-start", "600", "--m-end", "600"],
+    ],
+)
+def test_simulate_out_of_range_values_exit_2(runner, flags):
+    result = runner.invoke(main, ["simulate", "--runs", "10", *flags])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr.strip().splitlines()[-1])["error"] == "ConfigError"
 
 
 def _run_cv(runner, arff, xml, out_dir, extra=()):
@@ -140,6 +165,21 @@ def test_cv_bad_method_exits_2(runner, dataset_files, tmp_path):
          "--methods", "BR,COCOA"],
     )
     assert result.exit_code == 2
+    assert json.loads(result.stderr.strip().splitlines()[-1])["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--tree-min-samples-leaf", "0"],
+        ["--tree-max-depth", "-1"],
+        ["--folds", "61"],
+    ],
+)
+def test_cv_out_of_range_values_exit_2(runner, dataset_files, tmp_path, flags):
+    arff, xml = dataset_files
+    result = _run_cv(runner, arff, xml, tmp_path / "x", flags)
+    assert result.exit_code == 2, result.output
     assert json.loads(result.stderr.strip().splitlines()[-1])["error"] == "ConfigError"
 
 

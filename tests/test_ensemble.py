@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import Counter
 
 import numpy as np
@@ -17,7 +19,6 @@ from chainbalance.ensemble import (
     ensemble_to_dict,
     instance_budget,
     load_model,
-    predict_relevance,
     predict_relevance_batch,
     save_model,
     train_ensemble,
@@ -233,7 +234,7 @@ def test_relevance_normalizes_by_label_counter():
         base_arity=1,
         skipped_labels={},
     )
-    scores = predict_relevance(model, np.array([0.0]))
+    scores = predict_relevance_batch(model, np.array([[0.0]]))[0]
     assert scores.tolist() == [2 / 3, 0.5]
 
 
@@ -253,7 +254,7 @@ def test_skipped_label_constant_prediction():
     assert model.vote_counts.tolist()[1] == 0
     scores = predict_relevance_batch(model, ds.features)
     assert (scores[:, 1] == 0.0).all()
-    single = predict_relevance(model, ds.features[0])
+    single = predict_relevance_batch(model, ds.features[:1])[0]
     assert single[1] == 0.0
 
 
@@ -266,24 +267,26 @@ def test_no_trainable_labels():
     )
     with pytest.raises(NoTrainableLabels):
         train_ensemble(ds, EnsembleSpec(method="BR"))
-    with pytest.raises(NoTrainableLabels):
-        instance_budget(ds, EnsembleSpec(method="ECCRU"))
+
+
+def _budget(ds: MultiLabelDataset, **spec) -> int:
+    return instance_budget(ds, train_ensemble(ds, EnsembleSpec(**spec)))
 
 
 def test_instance_budget_formulas():
     ds = dataset_with_label_counts(100, [10, 20, 30], seed=7)
-    assert instance_budget(ds, EnsembleSpec(method="ECCRU", c=10)) == 1200
-    assert instance_budget(ds, EnsembleSpec(method="ECCRU2", c=10)) == 960
-    assert instance_budget(ds, EnsembleSpec(method="BR")) == 3 * 100
-    assert instance_budget(ds, EnsembleSpec(method="ECC", c=10)) == 10 * 3 * 100
-    assert instance_budget(ds, EnsembleSpec(method="BRUS")) == 120
-    assert instance_budget(ds, EnsembleSpec(method="EBRUS", c=10)) == 1200
+    assert _budget(ds, method="ECCRU", c=10) == 1200
+    assert _budget(ds, method="ECCRU2", c=10) == 960
+    assert _budget(ds, method="BR") == 3 * 100
+    assert _budget(ds, method="ECC", c=10) == 10 * 3 * 100
+    assert _budget(ds, method="BRUS") == 120
+    assert _budget(ds, method="EBRUS", c=10) == 1200
 
 
 def test_instance_budget_single_label_reports_uniform_value():
     ds = dataset_with_label_counts(50, [10], seed=8)
-    eccru = instance_budget(ds, EnsembleSpec(method="ECCRU", c=10))
-    eccru2 = instance_budget(ds, EnsembleSpec(method="ECCRU2", c=10))
+    eccru = _budget(ds, method="ECCRU", c=10)
+    eccru2 = _budget(ds, method="ECCRU2", c=10)
     assert eccru == eccru2 == 10 * 2 * 10
 
 
@@ -334,7 +337,7 @@ def test_relevance_arity_checks():
     ds = make_dataset(30, [0.5], seed=16)
     model = train_ensemble(ds, EnsembleSpec(method="BR"))
     with pytest.raises(ArityMismatch):
-        predict_relevance(model, np.zeros(ds.d + 1))
+        predict_relevance_batch(model, np.zeros((1, ds.d + 1)))
     with pytest.raises(ArityMismatch):
         predict_relevance_batch(model, np.zeros((2, ds.d + 1)))
 
@@ -353,3 +356,43 @@ def test_model_serialization_round_trip(tmp_path):
     bad = ensemble_to_dict(model) | {"schema": "bogus"}
     with pytest.raises(ConfigError):
         ensemble_from_dict(bad)
+
+
+# sha256 of json.dumps(ensemble_to_dict(model), sort_keys=True) and the
+# instance budget, for every method with c=4 and seed=5. "one_eligible" has a
+# single trainable label next to a single-class one, so ECCRU2/3 fall back to
+# the uniform build.
+PINNED_MODELS = {
+    "three_labels": {
+        "BR": ("6abc621155e0b38a4c8b666244db1d61c43e3341b4f03f0adf2bd7854b7e4858", 180),
+        "BRUS": ("f7aa479541850fd89b32eb636a9c4a769ddb687daab9baa946e01b531ed4024d", 96),
+        "EBRUS": ("077b80b7fd84c53107768c5b3b1d455bd5047cfb2d02ca7bd018a024361e20f2", 384),
+        "ECC": ("e5e29352c58307853fffd944d749c31109df277df44ca6569e7e39b05e397e49", 720),
+        "ECCRU": ("bf8607fd48f0aa033446777bf52d1e54f8d60a9adf95c69b1a65a0eb7b68e159", 384),
+        "ECCRU2": ("f8505d5d8dabca533f01022d31eeaaf70b8f9f9b9fcf390e675087115d5585b5", 284),
+        "ECCRU3": ("e4ace68db7344523fdedd3128ec59c1ad6db761296f69e7407066be4095cb09a", 284),
+    },
+    "one_eligible": {
+        "BR": ("075b7ecb25696c278f3378a69befc83f60733ae5e01f96f35fe9478b7988b51f", 40),
+        "BRUS": ("bc7e86b8805f5bfb2f360d795425032d67d3c30f300ad9b0561ef8a2694c8141", 18),
+        "EBRUS": ("657096cc171303f2fb88bf5ef279b8f77f6843ad9f6ccdc9cf96ae860d90562f", 72),
+        "ECC": ("c37c2f35f6e6d01341579065767882d703db43481af885f6fd62648d9908036e", 160),
+        "ECCRU": ("f4ae34ba8c62e970c05723ca747c63cee0fce6b43d9e440c430c005383491d82", 72),
+        "ECCRU2": ("df37fd8c24b82e5281f8d12aaf942bcf29a083cb3a05c036af456da186f40fc7", 72),
+        "ECCRU3": ("e4a376d8f9d21fce81d094855011db341b868d3d81808028ad7f65e7b54b7246", 72),
+    },
+}
+
+
+def test_models_and_budgets_pinned():
+    fixtures = {
+        "three_labels": make_dataset(60, [0.08, 0.3, 0.55], seed=31),
+        "one_eligible": dataset_with_label_counts(40, [9, 0], seed=32),
+    }
+    for name, ds in fixtures.items():
+        for method, (digest, budget) in PINNED_MODELS[name].items():
+            spec = EnsembleSpec(method=method, c=4, seed=5)
+            model = train_ensemble(ds, spec)
+            payload = json.dumps(ensemble_to_dict(model), sort_keys=True)
+            assert hashlib.sha256(payload.encode()).hexdigest() == digest, (name, method)
+            assert instance_budget(ds, model) == budget, (name, method)

@@ -9,7 +9,6 @@ from chainbalance.errors import ArityMismatch
 from chainbalance.learner import (
     TreeSpec,
     fit_tree,
-    predict,
     predict_batch,
     tree_from_dict,
     tree_to_dict,
@@ -26,12 +25,16 @@ def _bd(values, targets) -> BinaryDataset:
     return BinaryDataset(X, np.asarray(targets, dtype=np.int8))
 
 
+def _predict_row(model, row) -> int:
+    return int(predict_batch(model, np.array([row], dtype=np.float64))[0])
+
+
 def test_pure_input_single_leaf():
     model = fit_tree(_bd([1.0, 2.0, 3.0], [1, 1, 1]), TreeSpec())
     assert model.node_count == 1
     assert model.feature[0] == -1
-    assert predict(model, [99.0]) == 1
-    assert predict(model, [-5.0]) == 1
+    assert _predict_row(model, [99.0]) == 1
+    assert _predict_row(model, [-5.0]) == 1
 
 
 def test_depth_one_split():
@@ -40,8 +43,8 @@ def test_depth_one_split():
     assert model.feature[0] == 0
     assert model.threshold[0] == pytest.approx(1.5)
     assert predict_batch(model, np.array([[0.0], [1.0], [2.0], [3.0]])).tolist() == [0, 0, 1, 1]
-    assert predict(model, [0.0]) == 0
-    assert predict(model, [3.0]) == 1
+    assert _predict_row(model, [0.0]) == 0
+    assert _predict_row(model, [3.0]) == 1
 
 
 def test_xor_shattered():
@@ -54,7 +57,7 @@ def test_xor_shattered():
 def test_arity_mismatch():
     model = fit_tree(_bd([0, 1], [0, 1]), UNLIMITED)
     with pytest.raises(ArityMismatch):
-        predict(model, [0.0, 1.0])
+        predict_batch(model, np.array([[0.0, 1.0]]))
     with pytest.raises(ArityMismatch):
         predict_batch(model, np.zeros((3, 2)))
 
@@ -63,7 +66,7 @@ def test_leaf_tie_predicts_one():
     # Constant feature, one example of each class: no split possible.
     model = fit_tree(_bd([5.0, 5.0], [0, 1]), UNLIMITED)
     assert model.node_count == 1
-    assert predict(model, [5.0]) == 1
+    assert _predict_row(model, [5.0]) == 1
 
 
 def test_min_samples_leaf_blocks_small_children():
