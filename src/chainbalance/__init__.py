@@ -24,14 +24,12 @@ from .ensemble import (
 from .learner import BinaryModel, TreeSpec, fit_tree, predict_batch
 from .metrics import (
     BinaryConfusion,
-    MetricReport,
-    ThresholdPolicy,
     auc_pr,
     auc_roc,
     average_ranks,
     build_report,
     imr_bucket_report,
-    macro_average,
+    mean_defined,
     point_metric,
     select_threshold,
 )
@@ -64,10 +62,8 @@ __all__ = [
     "ExploitationQuery",
     "LabelImbalanceStats",
     "METHODS",
-    "MetricReport",
     "MultiLabelDataset",
     "RngStream",
-    "ThresholdPolicy",
     "TreeSpec",
     "auc_pr",
     "auc_roc",
@@ -84,7 +80,7 @@ __all__ = [
     "iterative_stratified_kfold",
     "load_mulan",
     "load_mulan_files",
-    "macro_average",
+    "mean_defined",
     "point_metric",
     "predict_batch",
     "predict_relevance_batch",

@@ -21,7 +21,6 @@ from .learner import (
     TreeSpec,
     fit_tree,
     predict_batch,
-    tree_from_dict,
     tree_to_dict,
 )
 from .sampling import BinaryDataset, RngStream, random_undersample
@@ -155,14 +154,3 @@ def chain_to_dict(model: ChainModel) -> dict:
         ],
         "fit_class_counts": [list(c) for c in model.fit_class_counts],
     }
-
-
-def chain_from_dict(payload: dict) -> ChainModel:
-    return ChainModel(
-        links=tuple(
-            (int(item["label"]), tree_from_dict(item["tree"]))
-            for item in payload["links"]
-        ),
-        base_arity=int(payload["base_arity"]),
-        fit_class_counts=tuple(tuple(c) for c in payload.get("fit_class_counts", [])),
-    )

@@ -118,15 +118,26 @@ def stats(arff_path: Path, xml_path: Path, feature_keep_fraction: float | None,
     _guard(body)
 
 
-def _merged(ctx: click.Context, file_values: dict, key: str, default):
+def _merged(ctx: click.Context, file_values: dict, key: str):
     """Command line beats config file beats default."""
     source = ctx.get_parameter_source(key)
     if source == click.core.ParameterSource.COMMANDLINE:
         return ctx.params[key]
-    if key in file_values:
-        return file_values[key]
-    value = ctx.params[key]
-    return default if value is None else value
+    return file_values.get(key, ctx.params[key])
+
+
+def _typed(key: str, value, kind: type, optional: bool = False):
+    """value converted by kind; None passes only where the key is optional.
+
+    Config-file values arrive untyped, so a failed conversion is a
+    ConfigError naming the key.
+    """
+    if value is None and optional:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from exc
 
 
 def _flatten_config(values: dict) -> dict:
@@ -180,40 +191,36 @@ def cv(ctx: click.Context, config_path: Path | None, **_: object) -> None:
                 raise ConfigError("config file must hold a JSON object")
             file_values = _flatten_config(file_values)
 
-        def get(key: str, default=None):
-            return _merged(ctx, file_values, key, default)
+        def get(key: str, kind: type, optional: bool = False):
+            return _typed(key, _merged(ctx, file_values, key), kind, optional)
 
-        arff = get("arff")
-        xml = get("xml")
-        out_dir = get("out_dir") or "chainbalance-results"
-        methods_value = get("methods")
+        arff = get("arff", Path, optional=True)
+        xml = get("xml", Path, optional=True)
+        methods_value = _merged(ctx, file_values, "methods")
         if arff is None or xml is None or methods_value is None:
             raise ConfigError("arff, xml, and methods are required")
         if isinstance(methods_value, str):
             methods = tuple(m.strip() for m in methods_value.split(",") if m.strip())
         else:
-            methods = tuple(methods_value)
+            methods = _typed("methods", methods_value, tuple)
+        out_dir = _merged(ctx, file_values, "out_dir") or "chainbalance-results"
         config = ExperimentConfig(
-            arff_path=Path(arff),
-            xml_path=Path(xml),
-            out_dir=Path(out_dir),
+            arff_path=arff,
+            xml_path=xml,
+            out_dir=_typed("out_dir", out_dir, Path),
             methods=methods,
-            c=int(get("c", 10)),
-            theta_max=float(get("theta_max", 10.0)),
-            theta_min=(lambda v: None if v is None else float(v))(get("theta_min")),
+            c=get("c", int),
+            theta_max=get("theta_max", float),
+            theta_min=get("theta_min", float, optional=True),
             tree=TreeSpec(
-                max_depth=(lambda v: None if v is None else int(v))(
-                    get("tree_max_depth")
-                ),
-                min_samples_leaf=int(get("tree_min_samples_leaf", 2)),
+                max_depth=get("tree_max_depth", int, optional=True),
+                min_samples_leaf=get("tree_min_samples_leaf", int),
             ),
-            repeats=int(get("repeats", 5)),
-            folds=int(get("folds", 2)),
-            feature_keep_fraction=(lambda v: None if v is None else float(v))(
-                get("feature_keep_fraction")
-            ),
-            seed=int(get("seed", 0)),
-            n_jobs=int(get("n_jobs", 1)),
+            repeats=get("repeats", int),
+            folds=get("folds", int),
+            feature_keep_fraction=get("feature_keep_fraction", float, optional=True),
+            seed=get("seed", int),
+            n_jobs=get("n_jobs", int),
         )
         payload = run_cv(config)
         for method in config.methods:

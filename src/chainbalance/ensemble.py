@@ -13,12 +13,10 @@ many classifiers actually target each label.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -26,7 +24,6 @@ import numpy as np
 from .chain import (
     ChainModel,
     ChainSpec,
-    chain_from_dict,
     chain_to_dict,
     predict_chain_batch,
     train_cc,
@@ -104,6 +101,12 @@ class EnsembleSpec:
             raise ConfigError("ensemble size c must be >= 1")
         if self.theta_max < 1.0:
             raise ConfigError("theta_max must be >= 1 (budget cap below c)")
+        try:
+            cap = self.c * self.theta_max
+        except OverflowError:  # c too large for a float
+            cap = math.inf
+        if not math.isfinite(cap):
+            raise ConfigError("the budget cap c * theta_max must be finite")
         if self.theta_min is not None:
             if self.method != "ECCRU3":
                 raise ConfigError("theta_min applies only to ECCRU3")
@@ -400,24 +403,3 @@ def ensemble_to_dict(model: EnsembleModel) -> dict:
         "skipped_labels": {str(k): v for k, v in model.skipped_labels.items()},
         "chains": [chain_to_dict(chain) for chain in model.chains],
     }
-
-
-def ensemble_from_dict(payload: dict) -> EnsembleModel:
-    if payload.get("schema") != MODEL_SCHEMA:
-        raise ConfigError(f"unsupported model schema {payload.get('schema')!r}")
-    return EnsembleModel(
-        method=payload["method"],
-        chains=tuple(chain_from_dict(c) for c in payload["chains"]),
-        vote_counts=np.array(payload["vote_counts"], dtype=np.int64),
-        q=int(payload["q"]),
-        base_arity=int(payload["base_arity"]),
-        skipped_labels={int(k): int(v) for k, v in payload["skipped_labels"].items()},
-    )
-
-
-def save_model(model: EnsembleModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(ensemble_to_dict(model), sort_keys=True))
-
-
-def load_model(path: str | Path) -> EnsembleModel:
-    return ensemble_from_dict(json.loads(Path(path).read_text()))

@@ -60,7 +60,3 @@ class ArityMismatch(ChainbalanceError):
 
 class LengthMismatch(ChainbalanceError):
     """Paired vectors (scores and truth) of different lengths."""
-
-
-class AllUndefined(ChainbalanceError):
-    """An aggregate over values that are all undefined."""

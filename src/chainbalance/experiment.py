@@ -19,7 +19,6 @@ import numpy as np
 
 from .dataset import load_mulan_files, reduce_features_by_frequency
 from .ensemble import (
-    METHODS,
     EnsembleSpec,
     instance_budget,
     predict_relevance_batch,
@@ -27,7 +26,7 @@ from .ensemble import (
 )
 from .errors import ConfigError
 from .learner import TreeSpec
-from .metrics import METRIC_KEYS, build_report, report_to_dict
+from .metrics import METRIC_KEYS, build_report, mean_defined
 from .sampling import RngStream, derive_seed, iterative_stratified_kfold
 
 RESULTS_SCHEMA = "chainbalance.cv.v1"
@@ -56,9 +55,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.methods:
             raise ConfigError("at least one method is required")
-        for name in self.methods:
-            if name not in METHODS:
-                raise ConfigError(f"unknown method {name!r}; valid: {METHODS}")
+        # The specs the run will build check the method names, c, theta_max,
+        # theta_min and seed, so bad values fail before any data is loaded.
+        for method in self.methods:
+            self.ensemble_spec(method, self.seed)
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError("duplicate method names")
         if self.repeats < 1:
@@ -71,8 +71,6 @@ class ExperimentConfig:
             0.0 < self.feature_keep_fraction <= 1.0
         ):
             raise ConfigError("feature_keep_fraction must be in (0, 1]")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
         if self.n_jobs < 1:
             raise ConfigError("n_jobs must be >= 1")
 
@@ -87,28 +85,23 @@ class ExperimentConfig:
         )
 
 
-def _mean_or_none(values: list[float | None]) -> float | None:
-    defined = [v for v in values if v is not None]
-    return float(np.mean(defined)) if defined else None
-
-
-def _macro_means(reports: list[dict]) -> dict[str, float | None]:
-    return {
-        key: _mean_or_none([r["macro"][key] for r in reports]) for key in METRIC_KEYS
-    }
-
-
-def _per_label_means(reports: list[dict]) -> list[dict]:
-    if not reports:
-        return []
+def _means(reports: list[dict]) -> dict:
+    """Fold reports averaged per metric: the macro values, and each label's
+    values, each over the folds where it is defined."""
     q = len(reports[0]["per_label"])
-    rows = []
-    for j in range(q):
-        row: dict = {"label_index": j}
-        for key in METRIC_KEYS:
-            row[key] = _mean_or_none([r["per_label"][j][key] for r in reports])
-        rows.append(row)
-    return rows
+    return {
+        "macro": {
+            key: mean_defined([r["macro"][key] for r in reports]) for key in METRIC_KEYS
+        },
+        "per_label": [
+            {"label_index": j}
+            | {
+                key: mean_defined([r["per_label"][j][key] for r in reports])
+                for key in METRIC_KEYS
+            }
+            for j in range(q)
+        ],
+    }
 
 
 def run_cv(config: ExperimentConfig) -> dict:
@@ -162,7 +155,7 @@ def run_cv(config: ExperimentConfig) -> dict:
                         "test_rows": int(test_ds.n),
                         "instance_budget": instance_budget(train_ds, model),
                         "classifier_counts": model.vote_counts.tolist(),
-                        "report": report_to_dict(report),
+                        "report": report,
                     }
                 )
                 method_records[method]["timings"].append(
@@ -173,26 +166,16 @@ def run_cv(config: ExperimentConfig) -> dict:
     for method in config.methods:
         fold_records = method_records[method]["folds"]
         reports = [rec["report"] for rec in fold_records]
-        repeat_means = []
-        for repeat in range(config.repeats):
-            subset = [
-                rec["report"] for rec in fold_records if rec["repeat"] == repeat
-            ]
-            repeat_means.append(
-                {
-                    "repeat": repeat,
-                    "macro": _macro_means(subset),
-                    "per_label": _per_label_means(subset),
-                }
-            )
+        repeat_means = [
+            {"repeat": repeat}
+            | _means([rec["report"] for rec in fold_records if rec["repeat"] == repeat])
+            for repeat in range(config.repeats)
+        ]
         methods_payload[method] = {
             "folds": fold_records,
             "repeat_means": repeat_means,
-            "overall": {
-                "macro": _macro_means(reports),
-                "per_label": _per_label_means(reports),
-            },
-            "instance_budget_mean": _mean_or_none(
+            "overall": _means(reports),
+            "instance_budget_mean": mean_defined(
                 [float(rec["instance_budget"]) for rec in fold_records]
             ),
         }

@@ -219,16 +219,3 @@ def tree_to_dict(model: BinaryModel) -> dict:
         "n_features": model.n_features,
         "depth": model.depth,
     }
-
-
-def tree_from_dict(payload: dict) -> BinaryModel:
-    return BinaryModel(
-        feature=np.array(payload["feature"], dtype=np.int32),
-        threshold=np.array(payload["threshold"], dtype=np.float64),
-        left=np.array(payload["left"], dtype=np.int32),
-        right=np.array(payload["right"], dtype=np.int32),
-        leaf_value=np.array(payload["leaf_value"], dtype=np.int8),
-        positive_fraction=np.array(payload["positive_fraction"], dtype=np.float64),
-        n_features=int(payload["n_features"]),
-        depth=int(payload["depth"]),
-    )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllUndefined, LengthMismatch
+from .errors import LengthMismatch
 
 THRESHOLD_GRID: tuple[float, ...] = tuple(i / 20 for i in range(21))
 
@@ -22,19 +22,6 @@ F_MEASURE = "F"
 G_MEAN = "G"
 BALANCED_ACCURACY = "B"
 POINT_METRICS = (F_MEASURE, G_MEAN, BALANCED_ACCURACY)
-
-_OBJECTIVE_ALIASES = {
-    "f": F_MEASURE,
-    "f-measure": F_MEASURE,
-    "f1": F_MEASURE,
-    "g": G_MEAN,
-    "g-mean": G_MEAN,
-    "gmean": G_MEAN,
-    "b": BALANCED_ACCURACY,
-    "balanced-accuracy": BALANCED_ACCURACY,
-    "balancedaccuracy": BALANCED_ACCURACY,
-    "bal-acc": BALANCED_ACCURACY,
-}
 
 # Report keys for the five metrics, in presentation order.
 METRIC_KEYS = ("f_measure", "g_mean", "balanced_accuracy", "auc_roc", "auc_pr")
@@ -50,11 +37,9 @@ IMR_BUCKETS: tuple[tuple[float, float], ...] = (
 )
 
 
-def normalize_objective(name: str) -> str:
-    key = name.strip().lower()
-    if key in _OBJECTIVE_ALIASES:
-        return _OBJECTIVE_ALIASES[key]
-    raise ValueError(f"unknown point metric {name!r}")
+def _check_objective(kind: str) -> None:
+    if kind not in POINT_METRICS:
+        raise ValueError(f"unknown point metric {kind!r}; valid: {POINT_METRICS}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +70,7 @@ def point_metric(conf: BinaryConfusion, kind: str) -> float | None:
     tp/fp/fn, G and B need both a positive and a negative example. An F of
     zero (tp=0 with errors present) is a defined value, not None.
     """
-    kind = normalize_objective(kind)
+    _check_objective(kind)
     if kind == F_MEASURE:
         denom = 2 * conf.tp + conf.fp + conf.fn
         return None if denom == 0 else 2 * conf.tp / denom
@@ -149,21 +134,6 @@ def auc_pr(scores: np.ndarray, truth: np.ndarray) -> float | None:
 
 
 @dataclass(frozen=True)
-class ThresholdPolicy:
-    """Grid of candidate thresholds and the point metric to maximize."""
-
-    objective: str
-    grid: tuple[float, ...] = THRESHOLD_GRID
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "objective", normalize_objective(self.objective))
-        if len(self.grid) < 2 or self.grid[0] != 0.0 or self.grid[-1] != 1.0:
-            raise ValueError("grid must run from 0 to 1")
-        if any(a >= b for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError("grid must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class ThresholdChoice:
     threshold: float
     value: float | None
@@ -171,22 +141,24 @@ class ThresholdChoice:
 
 
 def select_threshold(
-    train_scores: np.ndarray, train_truth: np.ndarray, policy: ThresholdPolicy
+    train_scores: np.ndarray, train_truth: np.ndarray, objective: str
 ) -> ThresholdChoice:
-    """Scan the grid and return the smallest threshold maximizing the objective.
+    """Scan THRESHOLD_GRID and return the smallest threshold maximizing the
+    objective, one of POINT_METRICS.
 
     Prediction rule is score >= t. Falls back to 0.5 (flagged) when the
     training column has no positives, or when the objective is undefined at
     every grid point.
     """
+    _check_objective(objective)
     scores, truth = _check_pair(train_scores, train_truth)
     if int(truth.sum()) == 0:
         return ThresholdChoice(threshold=0.5, value=None, fallback=True)
     best_t: float | None = None
     best_v = -1.0
-    for t in policy.grid:
+    for t in THRESHOLD_GRID:
         conf = BinaryConfusion.from_predictions(truth, scores >= t)
-        value = point_metric(conf, policy.objective)
+        value = point_metric(conf, objective)
         if value is not None and value > best_v:
             best_t, best_v = t, value
     if best_t is None:
@@ -194,12 +166,10 @@ def select_threshold(
     return ThresholdChoice(threshold=best_t, value=best_v, fallback=False)
 
 
-def macro_average(values: list[float | None]) -> float:
-    """Mean over the defined entries; raises when every entry is undefined."""
+def mean_defined(values: list[float | None]) -> float | None:
+    """Mean over the defined entries; None when every entry is undefined."""
     defined = [v for v in values if v is not None]
-    if not defined:
-        raise AllUndefined("no defined values to average")
-    return float(np.mean(defined))
+    return float(np.mean(defined)) if defined else None
 
 
 def average_ranks(results: np.ndarray, higher_is_better: bool = True) -> np.ndarray:
@@ -250,14 +220,13 @@ def imr_bucket_report(
     report = []
     for lower, upper in IMR_BUCKETS:
         members = [v for r, v in zip(imrs, values) if lower <= r < upper]
-        defined = [v for v in members if v is not None]
         report.append(
             ImrBucket(
                 lower=lower,
                 upper=upper,
                 label_count=len(members),
                 label_percent=100.0 * len(members) / total if total else 0.0,
-                mean_value=float(np.mean(defined)) if defined else None,
+                mean_value=mean_defined(members),
             )
         )
     return report
@@ -268,41 +237,21 @@ def imr_bucket_report(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LabelMetrics:
-    label_index: int
-    f_measure: float | None
-    g_mean: float | None
-    balanced_accuracy: float | None
-    auc_roc: float | None
-    auc_pr: float | None
-    threshold_f: float
-    threshold_g: float
-    threshold_b: float
-    threshold_fallback: bool
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Per-label metric values plus macro averages over defined labels."""
-
-    per_label: tuple[LabelMetrics, ...]
-    macro: dict[str, float | None]
-    excluded: dict[str, int]
-    skipped_label_count: int
-
-
 def build_report(
     train_scores: np.ndarray,
     train_truth: np.ndarray,
     test_scores: np.ndarray,
     test_truth: np.ndarray,
     skipped_label_count: int = 0,
-) -> MetricReport:
+) -> dict:
     """Select per-label thresholds on training scores and evaluate on test.
 
     Each point metric gets its own threshold. The ranking metrics use the raw
-    test scores. Matrices are instances x labels.
+    test scores. Matrices are instances x labels. Returns the record that
+    cv_results.json stores per fold: "per_label" rows holding the METRIC_KEYS
+    values, the three thresholds and a fallback flag, "macro" means over the
+    labels where each metric is defined, "excluded" counts of the labels
+    where it is not, and "skipped_label_count".
     """
     train_scores = np.asarray(train_scores, dtype=np.float64)
     test_scores = np.asarray(test_scores, dtype=np.float64)
@@ -317,71 +266,31 @@ def build_report(
     for j in range(train_scores.shape[1]):
         tr_s, tr_t = train_scores[:, j], train_truth[:, j]
         te_s, te_t = test_scores[:, j], test_truth[:, j]
-        choices = {
-            kind: select_threshold(tr_s, tr_t, ThresholdPolicy(objective=kind))
-            for kind in POINT_METRICS
-        }
+        choices = {kind: select_threshold(tr_s, tr_t, kind) for kind in POINT_METRICS}
         point_values = {}
         for kind in POINT_METRICS:
             conf = BinaryConfusion.from_predictions(te_t, te_s >= choices[kind].threshold)
             point_values[kind] = point_metric(conf, kind)
         rows.append(
-            LabelMetrics(
-                label_index=j,
-                f_measure=point_values[F_MEASURE],
-                g_mean=point_values[G_MEAN],
-                balanced_accuracy=point_values[BALANCED_ACCURACY],
-                auc_roc=auc_roc(te_s, te_t),
-                auc_pr=auc_pr(te_s, te_t),
-                threshold_f=choices[F_MEASURE].threshold,
-                threshold_g=choices[G_MEAN].threshold,
-                threshold_b=choices[BALANCED_ACCURACY].threshold,
-                threshold_fallback=any(c.fallback for c in choices.values()),
-            )
+            {
+                "label_index": j,
+                "f_measure": point_values[F_MEASURE],
+                "g_mean": point_values[G_MEAN],
+                "balanced_accuracy": point_values[BALANCED_ACCURACY],
+                "auc_roc": auc_roc(te_s, te_t),
+                "auc_pr": auc_pr(te_s, te_t),
+                "threshold_f": choices[F_MEASURE].threshold,
+                "threshold_g": choices[G_MEAN].threshold,
+                "threshold_b": choices[BALANCED_ACCURACY].threshold,
+                "threshold_fallback": any(c.fallback for c in choices.values()),
+            }
         )
 
-    macro: dict[str, float | None] = {}
-    excluded: dict[str, int] = {}
-    for key in METRIC_KEYS:
-        values = [getattr(row, key) for row in rows]
-        defined = [v for v in values if v is not None]
-        excluded[key] = len(values) - len(defined)
-        macro[key] = float(np.mean(defined)) if defined else None
-    return MetricReport(
-        per_label=tuple(rows),
-        macro=macro,
-        excluded=excluded,
-        skipped_label_count=skipped_label_count,
-    )
-
-
-def report_to_dict(report: MetricReport) -> dict:
     return {
-        "macro": report.macro,
-        "excluded": report.excluded,
-        "skipped_label_count": report.skipped_label_count,
-        "per_label": [
-            {
-                "label_index": row.label_index,
-                "f_measure": row.f_measure,
-                "g_mean": row.g_mean,
-                "balanced_accuracy": row.balanced_accuracy,
-                "auc_roc": row.auc_roc,
-                "auc_pr": row.auc_pr,
-                "threshold_f": row.threshold_f,
-                "threshold_g": row.threshold_g,
-                "threshold_b": row.threshold_b,
-                "threshold_fallback": row.threshold_fallback,
-            }
-            for row in report.per_label
-        ],
+        "macro": {key: mean_defined([row[key] for row in rows]) for key in METRIC_KEYS},
+        "excluded": {
+            key: sum(row[key] is None for row in rows) for key in METRIC_KEYS
+        },
+        "skipped_label_count": skipped_label_count,
+        "per_label": rows,
     }
-
-
-def report_to_csv_rows(report: MetricReport) -> list[tuple[int, str, float | None]]:
-    """Flat (label_index, metric, value) rows, one per label per metric."""
-    rows = []
-    for row in report.per_label:
-        for key in METRIC_KEYS:
-            rows.append((row.label_index, key, getattr(row, key)))
-    return rows

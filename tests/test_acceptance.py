@@ -26,7 +26,7 @@ from chainbalance.ensemble import (
     train_ensemble,
 )
 from chainbalance.experiment import ExperimentConfig, run_cv
-from chainbalance.metrics import THRESHOLD_GRID, ThresholdPolicy, auc_roc, select_threshold
+from chainbalance.metrics import THRESHOLD_GRID, auc_roc, select_threshold
 from chainbalance.sampling import RngStream
 from chainbalance.simulate import ExploitationQuery, exploitation_probability, sweep
 from conftest import dataset_with_label_counts, make_dataset, write_dataset_files
@@ -172,7 +172,7 @@ def test_criterion_5_metric_oracles():
                 continue
             kind = ("F", "G", "B")[int(gen.integers(0, 3))]
             expected_t, expected_v = grid_scan_oracle(scores, truth, kind)
-            choice = select_threshold(scores, truth, ThresholdPolicy(objective=kind))
+            choice = select_threshold(scores, truth, kind)
             if expected_v is None:
                 assert choice.fallback
             else:

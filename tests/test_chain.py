@@ -6,7 +6,6 @@ import pytest
 from chainbalance.chain import (
     ChainModel,
     ChainSpec,
-    chain_from_dict,
     chain_to_dict,
     predict_chain_batch,
     train_cc,
@@ -163,14 +162,3 @@ def test_copied_labels_vote_identically():
     stacked = np.vstack([preds for _, preds in votes])
     assert (stacked == stacked[0]).all()
     assert np.array_equal(stacked[0], y0)
-
-
-def test_chain_serialization_round_trip():
-    ds = make_dataset(40, [0.3, 0.6], seed=14)
-    chain = train_ccru(ds, ChainSpec((0, 1)), UNLIMITED, RngStream(8))
-    clone = chain_from_dict(chain_to_dict(chain))
-    votes_a = predict_chain_batch(chain, ds.features)
-    votes_b = predict_chain_batch(clone, ds.features)
-    for (la, pa), (lb, pb) in zip(votes_a, votes_b):
-        assert la == lb
-        assert np.array_equal(pa, pb)

@@ -174,6 +174,9 @@ def test_cv_bad_method_exits_2(runner, dataset_files, tmp_path):
         ["--tree-min-samples-leaf", "0"],
         ["--tree-max-depth", "-1"],
         ["--folds", "61"],
+        ["--methods", "ECCRU2", "--theta-max", "nan"],
+        ["--methods", "ECCRU3", "--theta-max", "inf"],
+        ["--methods", "ECCRU3", "--theta-max", "1e308"],
     ],
 )
 def test_cv_out_of_range_values_exit_2(runner, dataset_files, tmp_path, flags):
@@ -181,6 +184,28 @@ def test_cv_out_of_range_values_exit_2(runner, dataset_files, tmp_path, flags):
     result = _run_cv(runner, arff, xml, tmp_path / "x", flags)
     assert result.exit_code == 2, result.output
     assert json.loads(result.stderr.strip().splitlines()[-1])["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ({"c": None}, "c"),
+        ({"c": "ten"}, "c"),
+        ({"methods": 5}, "methods"),
+        ({"tree": {"max_depth": "deep"}}, "tree_max_depth"),
+    ],
+)
+def test_cv_config_wrong_type_exits_2(runner, dataset_files, tmp_path, override, key):
+    arff, xml = dataset_files
+    config = {"arff": arff, "xml": xml, "out_dir": str(tmp_path / "x"),
+              "methods": "BR", "repeats": 1} | override
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    result = runner.invoke(main, ["cv", "--config", str(config_path)])
+    assert result.exit_code == 2, result.output
+    record = json.loads(result.stderr.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(key)
 
 
 def test_cv_missing_required_exits_2(runner):

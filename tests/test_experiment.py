@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chainbalance.ensemble import EnsembleSpec, predict_relevance_batch, train_ensemble
+from chainbalance.ensemble import (
+    METHODS,
+    EnsembleSpec,
+    predict_relevance_batch,
+    train_ensemble,
+)
 from chainbalance.errors import ConfigError
 from chainbalance.experiment import ExperimentConfig, collect_rank_matrix, run_cv
 from chainbalance.learner import TreeSpec
@@ -51,6 +58,12 @@ def test_config_validation(files, tmp_path):
         _config(arff, xml, tmp_path, theta_min=0.5)  # no ECCRU3 configured
     with pytest.raises(ConfigError):
         _config(arff, xml, tmp_path, feature_keep_fraction=0.0)
+    with pytest.raises(ConfigError):
+        _config(arff, xml, tmp_path, c=0)
+    with pytest.raises(ConfigError):
+        _config(arff, xml, tmp_path, theta_max=float("nan"))
+    with pytest.raises(ConfigError):
+        _config(arff, xml, tmp_path, seed=-1)
 
 
 def test_run_cv_payload_structure(files, tmp_path):
@@ -72,6 +85,40 @@ def test_run_cv_payload_structure(files, tmp_path):
             assert rec["instance_budget"] > 0
     on_disk = json.loads((out / "cv_results.json").read_text())
     assert on_disk == json.loads(json.dumps(payload))
+
+
+# sha256 of the two deterministic result files of one all-method run. Label 0
+# has a single positive, so folds see a skipped label, threshold fallbacks and
+# undefined metrics. cv_results.json echoes the input paths, so the run uses
+# relative ones. A change of these constants is a change of the results.
+_PINNED_CV_SHA256 = {
+    "cv_results.json": "873308c5dff0c526c470af9a3d479e71d3262d9fa488234716eeebb3f6756d96",
+    "per_label.csv": "f2e6ba226769235e067954b54ea1447572dd07819ced93a1e059155584043503",
+}
+
+
+def test_run_cv_outputs_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    ds = make_dataset(80, [0.0, 0.15, 0.4], seed=9, relation="pinned")
+    arff, xml = write_dataset_files(ds, Path("."))
+    run_cv(
+        ExperimentConfig(
+            arff_path=Path(arff),
+            xml_path=Path(xml),
+            out_dir=Path("out"),
+            methods=METHODS,
+            c=2,
+            theta_min=0.5,
+            repeats=2,
+            folds=2,
+            seed=3,
+        )
+    )
+    digests = {
+        name: hashlib.sha256((Path("out") / name).read_bytes()).hexdigest()
+        for name in _PINNED_CV_SHA256
+    }
+    assert digests == _PINNED_CV_SHA256
 
 
 def test_run_cv_deterministic_incl_parallel(files, tmp_path):
@@ -175,7 +222,7 @@ def test_undersampled_ensembles_beat_plain_br_on_imbalanced_synthetic():
             predict_relevance_batch(model, test.features),
             test.labels,
         )
-        macros[method] = report.macro
+        macros[method] = report["macro"]
     for method in ("ECCRU", "ECCRU2", "ECCRU3"):
         assert macros[method]["balanced_accuracy"] > macros["BR"]["balanced_accuracy"]
         assert macros[method]["g_mean"] > macros["BR"]["g_mean"]

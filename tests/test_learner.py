@@ -10,7 +10,6 @@ from chainbalance.learner import (
     TreeSpec,
     fit_tree,
     predict_batch,
-    tree_from_dict,
     tree_to_dict,
 )
 from chainbalance.sampling import BinaryDataset
@@ -132,16 +131,6 @@ def test_leaf_class_proportions_recorded():
     root_children = [int(model.left[0]), int(model.right[0])]
     fractions = sorted(float(model.positive_fraction[i]) for i in root_children)
     assert fractions == [0.0, 1.0]
-
-
-def test_tree_serialization_round_trip():
-    gen = np.random.default_rng(3)
-    X = gen.normal(size=(50, 3))
-    y = (X[:, 0] > 0).astype(np.int8)
-    model = fit_tree(BinaryDataset(X, y), TreeSpec(max_depth=4))
-    clone = tree_from_dict(tree_to_dict(model))
-    probe = gen.normal(size=(20, 3))
-    assert np.array_equal(predict_batch(model, probe), predict_batch(clone, probe))
 
 
 def test_spec_validation():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -7,22 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainbalance.errors import AllUndefined, LengthMismatch
+from chainbalance.errors import LengthMismatch
+from chainbalance.experiment import ExperimentConfig, run_cv
 from chainbalance.metrics import (
     IMR_BUCKETS,
     THRESHOLD_GRID,
     BinaryConfusion,
-    ThresholdPolicy,
     auc_pr,
     auc_roc,
     average_ranks,
     build_report,
     imr_bucket_report,
-    macro_average,
+    mean_defined,
     point_metric,
-    report_to_csv_rows,
     select_threshold,
 )
+from conftest import make_dataset, write_dataset_files
 
 
 def brute_force_auc(scores, truth):
@@ -159,29 +160,25 @@ def test_auc_pr_perfect_ranking_any_prevalence():
 
 
 def test_select_threshold_examples():
-    choice = select_threshold(
-        [0.0, 0.3, 0.7, 1.0], [0, 0, 1, 1], ThresholdPolicy(objective="F")
-    )
+    choice = select_threshold([0.0, 0.3, 0.7, 1.0], [0, 0, 1, 1], "F")
     assert choice.threshold == pytest.approx(0.35)
     assert choice.value == 1.0
     assert not choice.fallback
 
-    choice = select_threshold([0.5, 0.5, 0.5], [1, 1, 0], ThresholdPolicy(objective="F"))
+    choice = select_threshold([0.5, 0.5, 0.5], [1, 1, 0], "F")
     assert choice.threshold == 0.0
     assert choice.value == pytest.approx(0.8)
 
     # Perfect separation: smallest maximizing grid point is returned.
-    choice = select_threshold(
-        [0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1], ThresholdPolicy(objective="B")
-    )
+    choice = select_threshold([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1], "B")
     assert choice.threshold == pytest.approx(0.25)
 
 
 def test_select_threshold_fallbacks():
-    choice = select_threshold([0.1, 0.9], [0, 0], ThresholdPolicy(objective="F"))
+    choice = select_threshold([0.1, 0.9], [0, 0], "F")
     assert choice.fallback and choice.threshold == 0.5 and choice.value is None
     # All-positive truth leaves G undefined at every grid point.
-    choice = select_threshold([0.1, 0.9], [1, 1], ThresholdPolicy(objective="G"))
+    choice = select_threshold([0.1, 0.9], [1, 1], "G")
     assert choice.fallback and choice.threshold == 0.5
 
 
@@ -195,7 +192,7 @@ def test_select_threshold_matches_grid_oracle():
             continue
         for kind in ("F", "G", "B"):
             expected_t, expected_v = grid_scan_oracle(scores, truth, kind)
-            choice = select_threshold(scores, truth, ThresholdPolicy(objective=kind))
+            choice = select_threshold(scores, truth, kind)
             if expected_v is None:
                 assert choice.fallback
             else:
@@ -204,19 +201,24 @@ def test_select_threshold_matches_grid_oracle():
 
 
 def test_threshold_policy_validation():
+    conf = BinaryConfusion(tp=1, fp=1, tn=1, fn=1)
     with pytest.raises(ValueError):
-        ThresholdPolicy(objective="accuracy")
+        point_metric(conf, "accuracy")
     with pytest.raises(ValueError):
-        ThresholdPolicy(objective="F", grid=(0.0, 0.5, 0.9))
+        select_threshold([0.2, 0.8], [0, 1], "accuracy")
+    # Rejected before the no-positives early return, too.
     with pytest.raises(ValueError):
-        ThresholdPolicy(objective="F", grid=(0.0, 0.5, 0.5, 1.0))
+        select_threshold([0.2, 0.8], [0, 0], "accuracy")
+    # Only the canonical names are accepted.
+    with pytest.raises(ValueError):
+        point_metric(conf, "f")
 
 
 def test_macro_average():
-    assert macro_average([0.5, None, 1.0]) == pytest.approx(0.75)
-    assert macro_average([0.7, 0.7, 0.7]) == pytest.approx(0.7)
-    with pytest.raises(AllUndefined):
-        macro_average([None, None])
+    assert mean_defined([0.5, None, 1.0]) == pytest.approx(0.75)
+    assert mean_defined([0.7, 0.7, 0.7]) == pytest.approx(0.7)
+    assert mean_defined([None, None]) is None
+    assert mean_defined([]) is None
 
 
 def test_average_ranks_examples():
@@ -260,25 +262,30 @@ def test_build_report_shapes_and_macro():
     train_scores = train_truth * 0.6 + gen.random((n_tr, q)) * 0.4
     test_scores = test_truth * 0.6 + gen.random((n_te, q)) * 0.4
     report = build_report(train_scores, train_truth, test_scores, test_truth, 1)
-    assert len(report.per_label) == q
-    assert report.skipped_label_count == 1
-    for key, value in report.macro.items():
+    assert len(report["per_label"]) == q
+    assert report["skipped_label_count"] == 1
+    for key, value in report["macro"].items():
         assert value is None or 0.0 <= value <= 1.0
-    for row in report.per_label:
-        assert row.threshold_f in THRESHOLD_GRID
-        assert row.threshold_g in THRESHOLD_GRID
-        assert row.threshold_b in THRESHOLD_GRID
+    for row in report["per_label"]:
+        assert row["threshold_f"] in THRESHOLD_GRID
+        assert row["threshold_g"] in THRESHOLD_GRID
+        assert row["threshold_b"] in THRESHOLD_GRID
 
 
-def test_report_flat_csv_rows():
-    gen = np.random.default_rng(6)
-    truth = gen.integers(0, 2, (10, 2))
-    scores = truth * 0.5 + gen.random((10, 2)) * 0.5
-    report = build_report(scores, truth, scores, truth)
-    rows = report_to_csv_rows(report)
-    assert len(rows) == 2 * 5  # one row per label per metric
-    assert {r[0] for r in rows} == {0, 1}
-    assert {r[1] for r in rows} == {
+def test_report_flat_csv_rows(tmp_path):
+    ds = make_dataset(40, [0.3, 0.5], seed=6)
+    arff, xml = write_dataset_files(ds, tmp_path)
+    run_cv(
+        ExperimentConfig(
+            arff_path=arff, xml_path=xml, out_dir=tmp_path / "out",
+            methods=("BR",), repeats=1, folds=2, seed=6,
+        )
+    )
+    with open(tmp_path / "out" / "per_label.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 2 * 2 * 5  # one row per fold per label per metric
+    assert {r["label_index"] for r in rows} == {"0", "1"}
+    assert {r["metric"] for r in rows} == {
         "f_measure", "g_mean", "balanced_accuracy", "auc_roc", "auc_pr"
     }
 
@@ -290,6 +297,6 @@ def test_build_report_macro_excludes_undefined():
     train_scores = np.array([[0.9, 0.1], [0.2, 0.1], [0.8, 0.1], [0.1, 0.1]])
     test_scores = np.array([[0.9, 0.2], [0.1, 0.2]])
     report = build_report(train_scores, train_truth, test_scores, test_truth)
-    assert report.excluded["auc_roc"] == 1
-    assert report.macro["auc_roc"] == pytest.approx(1.0)
-    assert report.per_label[1].auc_roc is None
+    assert report["excluded"]["auc_roc"] == 1
+    assert report["macro"]["auc_roc"] == pytest.approx(1.0)
+    assert report["per_label"][1]["auc_roc"] is None

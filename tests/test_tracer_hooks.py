@@ -1,8 +1,8 @@
 """The traced benchmark (perfbench/spans.py) wraps module attributes of
-chainbalance by name. Train every method under its recorder, in a separate
+chainbalance by name. Run the hooked code under its recorder, in a separate
 interpreter so the wrapping cannot leak into other tests, and check that each
-hooked layer still records spans: a renamed function, or a caller that
-captured a reference at import time, would silently drop them."""
+hooked layer still records spans and counts: a renamed function, or a caller
+that captured a reference at import time, would silently drop them."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-SCRIPT = """
+TRAIN_SCRIPT = """
 import json
 import chainbalance.experiment as experiment
 from chainbalance.ensemble import METHODS, EnsembleSpec
@@ -30,16 +30,40 @@ print(json.dumps({"names": sorted({s.name for s in rec.spans}),
                   "problems": check_spans(rec.spans)}))
 """
 
+CV_SCRIPT = """
+import json
+import sys
+from pathlib import Path
+import chainbalance.experiment as experiment
+from conftest import make_dataset, write_dataset_files
+from spans import Recorder, check_spans
 
-def test_tracer_hooks_record_every_layer():
+work = Path(sys.argv[1])
+arff, xml = write_dataset_files(make_dataset(40, [0.2, 0.5], seed=2), work)
+rec = Recorder()
+rec.install()
+experiment.run_cv(experiment.ExperimentConfig(
+    arff_path=Path(arff), xml_path=Path(xml), out_dir=work / "out",
+    methods=("BR", "ECCRU"), c=2, repeats=1, folds=2, seed=1))
+print(json.dumps({"names": sorted({s.name for s in rec.spans}),
+                  "counts": dict(rec.counts),
+                  "problems": check_spans(rec.spans)}))
+"""
+
+
+def _traced(script: str, *args: str) -> dict:
     paths = [REPO / "src", REPO / "perfbench", REPO / "tests"]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(p) for p in paths))
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=120, check=False,
     )
     assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_tracer_hooks_record_every_layer():
+    result = _traced(TRAIN_SCRIPT)
     assert {
         "chain.train",
         "learner.fit",
@@ -47,4 +71,18 @@ def test_tracer_hooks_record_every_layer():
         "sampling.undersample",
         "ensemble.task",
     } <= set(result["names"])
+    assert result["problems"] == []
+
+
+def test_tracer_hooks_record_evaluation(tmp_path):
+    result = _traced(CV_SCRIPT, str(tmp_path))
+    assert {
+        "dataset.load",
+        "sampling.split",
+        "ensemble.train",
+        "ensemble.predict",
+        "metrics.report",
+    } <= set(result["names"])
+    assert result["counts"].get("metrics.threshold_scans", 0) > 0
+    assert result["counts"].get("metrics.confusions", 0) > 0
     assert result["problems"] == []
