@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -91,26 +92,9 @@ def stats(arff_path: Path, xml_path: Path, feature_keep_fraction: float | None,
         if json_path is not None:
             payload = {
                 "relation": ds.relation,
-                "summary": {
-                    "n": summary.n,
-                    "d": summary.d,
-                    "q": summary.q,
-                    "label_cardinality": summary.label_cardinality,
-                    "mean_imr": summary.mean_imr,
-                    "max_imr": summary.max_imr,
-                    "cv_imr": summary.cv_imr,
-                    "degenerate_labels": summary.degenerate_labels,
-                },
+                "summary": asdict(summary),
                 "per_label": [
-                    {
-                        "label_index": s.label_index,
-                        "name": ds.label_names[s.label_index],
-                        "minority_count": s.minority_count,
-                        "majority_count": s.majority_count,
-                        "minority_class": s.minority_class,
-                        "imr": s.imr,
-                    }
-                    for s in per_label
+                    asdict(s) | {"name": ds.label_names[s.label_index]} for s in per_label
                 ],
             }
             json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -130,14 +114,21 @@ def _typed(key: str, value, kind: type, optional: bool = False):
     """value converted by kind; None passes only where the key is optional.
 
     Config-file values arrive untyped, so a failed conversion is a
-    ConfigError naming the key.
+    ConfigError naming the key. int() and float() would also take a bool,
+    and int() would drop a fraction; both are refused.
     """
     if value is None and optional:
         return None
+    message = f"{key} must be {kind.__name__}, got {value!r}"
+    if kind in (int, float) and (
+        isinstance(value, bool)
+        or kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(message)
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from exc
+        raise ConfigError(message) from exc
 
 
 def _flatten_config(values: dict) -> dict:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .errors import (
 )
 
 NUMERIC_TYPES = {"numeric", "real", "integer"}
+Converter = Callable[[str, int], float]  # (token, line number) -> cell value
 
 
 @dataclass(frozen=True)
@@ -95,13 +96,7 @@ class MultiLabelDataset:
 
     def take_rows(self, indices: np.ndarray) -> "MultiLabelDataset":
         """New dataset holding the given rows (indices may repeat)."""
-        return MultiLabelDataset(
-            features=self.features[indices],
-            labels=self.labels[indices],
-            label_names=self.label_names,
-            feature_kinds=self.feature_kinds,
-            relation=self.relation,
-        )
+        return replace(self, features=self.features[indices], labels=self.labels[indices])
 
 
 @dataclass(frozen=True)
@@ -116,10 +111,6 @@ class LabelImbalanceStats:
     majority_count: int
     minority_class: int
     imr: float | None
-
-    @property
-    def defined(self) -> bool:
-        return self.imr is not None
 
 
 @dataclass(frozen=True)
@@ -141,45 +132,43 @@ class DatasetSummary:
 # ---------------------------------------------------------------------------
 
 
-def _as_lines(source: str | Path | TextIO) -> Iterable[str]:
+def _read_text(source: str | Path | TextIO) -> str:
+    """The text of a path, of a stream, or the text itself, without a BOM."""
     if isinstance(source, Path):
-        text = source.read_text()
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
-    return text.lstrip("﻿").splitlines()
+        source = source.read_text()
+    elif not isinstance(source, str):
+        source = source.read()
+    return source.lstrip("\ufeff")
 
 
-def _split_respecting_quotes(text: str, sep: str = ",") -> list[str]:
-    """Split on sep outside single/double quotes; strip quotes and whitespace."""
-    parts: list[str] = []
-    buf: list[str] = []
-    quote: str | None = None
-    for ch in text:
-        if quote is not None:
-            if ch == quote:
-                quote = None
-            else:
-                buf.append(ch)
-        elif ch in "'\"":
-            quote = ch
-        elif ch == sep:
-            parts.append("".join(buf).strip())
-            buf = []
+def _split_values(text: str) -> list[str]:
+    """Split on commas outside single/double quotes; unquote and strip each value.
+
+    Only the comma-separated pieces that hold a quote character, or that lie
+    inside an open quote, are scanned character by character.
+    """
+    values: list[str] = []
+    held = ""  # start of a value whose quotes span a comma
+    quote = ""
+    for piece in text.split(","):
+        if quote or "'" in piece or '"' in piece:
+            kept: list[str] = []
+            for ch in piece:
+                if ch == quote:
+                    quote = ""
+                elif not quote and ch in "'\"":
+                    quote = ch
+                else:
+                    kept.append(ch)
+            piece = "".join(kept)
+        if quote:
+            held += piece + ","
         else:
-            buf.append(ch)
-    if quote is not None:
+            values.append((held + piece).strip())
+            held = ""
+    if quote:
         raise MalformedArff(f"unterminated quote in: {text!r}")
-    parts.append("".join(buf).strip())
-    return parts
-
-
-def _strip_quotes(token: str) -> str:
-    token = token.strip()
-    if len(token) >= 2 and token[0] == token[-1] and token[0] in "'\"":
-        return token[1:-1]
-    return token
+    return values
 
 
 def _parse_attribute_line(line: str, lineno: int) -> Attribute:
@@ -188,8 +177,7 @@ def _parse_attribute_line(line: str, lineno: int) -> Attribute:
         raise MalformedArff(f"line {lineno}: empty @attribute declaration")
     # Name may be quoted and may contain spaces; type is the remainder.
     if body[0] in "'\"":
-        quote = body[0]
-        end = body.find(quote, 1)
+        end = body.find(body[0], 1)
         if end < 0:
             raise MalformedArff(f"line {lineno}: unterminated attribute name")
         name = body[1:end]
@@ -204,8 +192,7 @@ def _parse_attribute_line(line: str, lineno: int) -> Attribute:
     if type_part.startswith("{"):
         if not type_part.endswith("}"):
             raise MalformedArff(f"line {lineno}: unterminated nominal value list")
-        values = _split_respecting_quotes(type_part[1:-1])
-        values = tuple(v for v in values if v != "")
+        values = tuple(v for v in _split_values(type_part[1:-1]) if v != "")
         if not values:
             raise MalformedArff(f"line {lineno}: empty nominal value list")
         if len(set(values)) != len(values):
@@ -219,86 +206,15 @@ def _parse_attribute_line(line: str, lineno: int) -> Attribute:
     )
 
 
-def _parse_arff(source: str | Path | TextIO) -> tuple[str, list[Attribute], list[list[str] | dict[int, str]]]:
-    """Parse an ARFF stream into (relation, attributes, raw rows).
-
-    Dense rows come back as token lists, sparse rows as {column: token}.
-    """
-    relation = "dataset"
-    attributes: list[Attribute] = []
-    rows: list[list[str] | dict[int, str]] = []
-    in_data = False
-    for lineno, raw in enumerate(_as_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        lowered = line.lower()
-        if not in_data:
-            if lowered.startswith("@relation"):
-                relation = _strip_quotes(line[len("@relation") :].strip()) or relation
-            elif lowered.startswith("@attribute"):
-                attributes.append(_parse_attribute_line(line, lineno))
-            elif lowered.startswith("@data"):
-                if not attributes:
-                    raise MalformedArff("@data before any @attribute declaration")
-                in_data = True
-            else:
-                raise MalformedArff(f"line {lineno}: unrecognized header line {line!r}")
-            continue
-        if line.startswith("{"):
-            if not line.endswith("}"):
-                raise MalformedArff(f"line {lineno}: unterminated sparse row")
-            body = line[1:-1].strip()
-            entries: dict[int, str] = {}
-            if body:
-                for item in _split_respecting_quotes(body):
-                    pieces = item.split(None, 1)
-                    if len(pieces) != 2:
-                        raise MalformedArff(f"line {lineno}: bad sparse entry {item!r}")
-                    try:
-                        col = int(pieces[0])
-                    except ValueError:
-                        raise MalformedArff(f"line {lineno}: bad sparse index {pieces[0]!r}") from None
-                    if not 0 <= col < len(attributes):
-                        raise MalformedArff(f"line {lineno}: sparse index {col} out of range")
-                    if col in entries:
-                        raise MalformedArff(f"line {lineno}: duplicate sparse index {col}")
-                    entries[col] = _strip_quotes(pieces[1])
-            rows.append(entries)
-        else:
-            tokens = [_strip_quotes(t) for t in _split_respecting_quotes(line)]
-            if len(tokens) != len(attributes):
-                raise MalformedArff(
-                    f"line {lineno}: row has {len(tokens)} values, expected {len(attributes)}"
-                )
-            rows.append(tokens)
-    if not in_data:
-        raise MalformedArff("no @data section found")
-    if not rows:
-        raise MalformedArff("empty @data section")
-    names = [a.name for a in attributes]
-    if len(set(names)) != len(names):
-        raise MalformedArff("duplicate attribute names in header")
-    return relation, attributes, rows
-
-
 def parse_label_names(xml_source: str | Path | TextIO) -> tuple[str, ...]:
     """Label names from a Mulan XML header, in declaration order."""
-    if isinstance(xml_source, Path):
-        text = xml_source.read_text()
-    elif isinstance(xml_source, str):
-        text = xml_source
-    else:
-        text = xml_source.read()
-    text = text.lstrip("﻿")
     try:
-        root = ET.fromstring(text)
+        root = ET.fromstring(_read_text(xml_source))
     except ET.ParseError as exc:
         raise MalformedArff(f"invalid label XML: {exc}") from exc
     names: list[str] = []
     for elem in root.iter():
-        tag = elem.tag.rsplit("}", 1)[-1]
-        if tag == "label":
+        if elem.tag.rsplit("}", 1)[-1] == "label":
             name = elem.get("name")
             if name is None:
                 raise MalformedArff("label element without a name attribute")
@@ -310,28 +226,63 @@ def parse_label_names(xml_source: str | Path | TextIO) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _feature_value(attr: Attribute, token: str, lineno_hint: str) -> float:
-    if token == "?":
-        raise MalformedArff(f"{lineno_hint}: missing values ('?') are not supported")
-    if attr.is_nominal:
+def _converter(attr: Attribute, is_label: bool) -> Converter:
+    """(token, line number) -> float for one column: 0/1 for a label, the
+    category code for a nominal feature, a finite number for a numeric one."""
+    error, codes, wanted = MalformedArff, None, "a finite number"
+    if is_label:
+        error, codes, wanted = NonBinaryLabel, {"0": 0.0, "1": 1.0}, "0 or 1"
+    elif attr.is_nominal:
+        # '?' marks a missing value even where it is declared as a category.
+        codes = {c: float(i) for i, c in enumerate(attr.categories) if c != "?"}
+        wanted = f"one of {attr.categories}"
+
+    def convert(token: str, lineno: int) -> float:
+        if codes is None:
+            try:
+                value = float(token)
+            except ValueError:
+                value = math.nan
+            if math.isfinite(value):
+                return value
+        elif token in codes:
+            return codes[token]
+        if token == "?":
+            raise MalformedArff(f"line {lineno}: missing value ('?') for {attr.name!r}")
+        raise error(f"line {lineno}: {attr.name!r} needs {wanted}, got {token!r}")
+
+    return convert
+
+
+def _parse_row(line: str, lineno: int, converters: list[Converter]) -> list[float]:
+    """One dense or sparse data row as floats; unlisted sparse columns are 0."""
+    width = len(converters)
+    if not line.startswith("{"):
+        tokens = _split_values(line)
+        if len(tokens) != width:
+            raise MalformedArff(f"line {lineno}: row has {len(tokens)} values, expected {width}")
+        return [convert(token, lineno) for convert, token in zip(converters, tokens)]
+    if not line.endswith("}"):
+        raise MalformedArff(f"line {lineno}: unterminated sparse row")
+    # Sparse defaults: 0.0 for numeric, category 0 for nominal, label 0.
+    row = [0.0] * width
+    body = line[1:-1].strip()
+    seen: set[int] = set()
+    for item in _split_values(body) if body else ():
+        pieces = item.split(None, 1)
+        if len(pieces) != 2:
+            raise MalformedArff(f"line {lineno}: bad sparse entry {item!r}")
         try:
-            return float(attr.categories.index(token))
+            col = int(pieces[0])
         except ValueError:
-            raise MalformedArff(
-                f"{lineno_hint}: value {token!r} not in categories of {attr.name!r}"
-            ) from None
-    try:
-        return float(token)
-    except ValueError:
-        raise MalformedArff(f"{lineno_hint}: unparseable numeric value {token!r}") from None
-
-
-def _label_value(attr: Attribute, token: str, lineno_hint: str) -> int:
-    if token == "?":
-        raise MalformedArff(f"{lineno_hint}: missing values ('?') are not supported")
-    if token not in ("0", "1"):
-        raise NonBinaryLabel(f"{lineno_hint}: label {attr.name!r} has value {token!r}")
-    return int(token)
+            col = -1
+        if not 0 <= col < width:
+            raise MalformedArff(f"line {lineno}: bad sparse index {pieces[0]!r}")
+        if col in seen:
+            raise MalformedArff(f"line {lineno}: duplicate sparse index {col}")
+        seen.add(col)
+        row[col] = converters[col](pieces[1], lineno)
+    return row
 
 
 def load_mulan(
@@ -343,53 +294,58 @@ def load_mulan(
     become feature columns in declaration order. Nominal features are encoded
     as integer category codes. Sparse rows fill unlisted columns with zero.
     """
-    relation, attributes, rows = _parse_arff(arff_source)
-    label_names = parse_label_names(xml_source)
+    relation = "dataset"
+    attributes: list[Attribute] = []
+    converters: list[Converter] | None = None  # one per attribute, from @data on
+    rows: list[list[float]] = []
+    for lineno, raw in enumerate(_read_text(arff_source).splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        if converters is not None:
+            rows.append(_parse_row(line, lineno, converters))
+            continue
+        lowered = line.lower()
+        if lowered.startswith("@relation"):
+            name = line[len("@relation") :].strip()
+            if len(name) >= 2 and name[0] == name[-1] and name[0] in "'\"":
+                name = name[1:-1]
+            relation = name or relation
+        elif lowered.startswith("@attribute"):
+            attributes.append(_parse_attribute_line(line, lineno))
+        elif lowered.startswith("@data"):
+            if not attributes:
+                raise MalformedArff("@data before any @attribute declaration")
+            if len({a.name for a in attributes}) != len(attributes):
+                raise MalformedArff("duplicate attribute names in header")
+            label_names = parse_label_names(xml_source)
+            converters = [_converter(a, a.name in label_names) for a in attributes]
+        else:
+            raise MalformedArff(f"line {lineno}: unrecognized header line {line!r}")
+    if converters is None:
+        raise MalformedArff("no @data section found")
+    if not rows:
+        raise MalformedArff("empty @data section")
+
+    # Label declarations are checked after the rows: a malformed row wins.
     index_by_name = {a.name: i for i, a in enumerate(attributes)}
     for name in label_names:
         if name not in index_by_name:
             raise MissingLabelAttribute(f"label {name!r} has no ARFF attribute")
     label_cols = [index_by_name[name] for name in label_names]
-    label_set = set(label_cols)
     for col in label_cols:
         attr = attributes[col]
         if not attr.is_nominal or not set(attr.categories) <= {"0", "1"}:
             raise NonBinaryLabel(
                 f"label attribute {attr.name!r} must be nominal with values in {{0,1}}"
             )
-    feature_cols = [i for i in range(len(attributes)) if i not in label_set]
-    feature_kinds = tuple(attributes[i] for i in feature_cols)
-
-    n = len(rows)
-    features = np.zeros((n, len(feature_cols)), dtype=np.float64)
-    labels = np.zeros((n, len(label_cols)), dtype=np.int8)
-    feat_pos = {col: j for j, col in enumerate(feature_cols)}
-    label_pos = {col: j for j, col in enumerate(label_cols)}
-
-    for r, row in enumerate(rows):
-        hint = f"data row {r + 1}"
-        if isinstance(row, dict):
-            # Sparse: defaults are 0.0 for numeric, category 0 for nominal
-            # features, and label value 0.
-            for col, token in row.items():
-                attr = attributes[col]
-                if col in label_pos:
-                    labels[r, label_pos[col]] = _label_value(attr, token, hint)
-                else:
-                    features[r, feat_pos[col]] = _feature_value(attr, token, hint)
-        else:
-            for col, token in enumerate(row):
-                attr = attributes[col]
-                if col in label_pos:
-                    labels[r, label_pos[col]] = _label_value(attr, token, hint)
-                else:
-                    features[r, feat_pos[col]] = _feature_value(attr, token, hint)
-
+    feature_cols = [i for i, a in enumerate(attributes) if a.name not in label_names]
+    table = np.array(rows, dtype=np.float64)
     return MultiLabelDataset(
-        features=features,
-        labels=labels,
+        features=table[:, feature_cols],
+        labels=table[:, label_cols],
         label_names=label_names,
-        feature_kinds=feature_kinds,
+        feature_kinds=tuple(attributes[i] for i in feature_cols),
         relation=relation,
     )
 
@@ -527,10 +483,8 @@ def reduce_features_by_frequency(
     nonzero = (ds.features != 0).sum(axis=0)
     ranked = sorted(range(ds.d), key=lambda j: (-int(nonzero[j]), j))
     retained = sorted(ranked[:keep])
-    return MultiLabelDataset(
+    return replace(
+        ds,
         features=ds.features[:, retained],
-        labels=ds.labels,
-        label_names=ds.label_names,
         feature_kinds=tuple(ds.feature_kinds[j] for j in retained),
-        relation=ds.relation,
     )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,12 +31,21 @@ def test_stats_output(runner, dataset_files, tmp_path):
     assert result.exit_code == 0, result.output
     assert "n=60 d=5 q=2" in result.output
     assert "MeanImR=" in result.output
-    payload = json.loads(json_path.read_text())
-    assert payload["summary"]["n"] == 60
-    assert len(payload["per_label"]) == 2
     # 12/48 -> ImR 4; 24/36 -> ImR 1.5.
-    imrs = sorted(row["imr"] for row in payload["per_label"])
-    assert imrs == pytest.approx([1.5, 4.0])
+    expected = {
+        "relation": "counted",
+        "summary": {
+            "n": 60, "d": 5, "q": 2, "label_cardinality": 0.6, "mean_imr": 2.75,
+            "max_imr": 4.0, "cv_imr": 0.45454545454545453, "degenerate_labels": 0,
+        },
+        "per_label": [
+            {"label_index": 0, "name": "L0", "minority_count": 12, "majority_count": 48,
+             "minority_class": 1, "imr": 4.0},
+            {"label_index": 1, "name": "L1", "minority_count": 24, "majority_count": 36,
+             "minority_class": 1, "imr": 1.5},
+        ],
+    }
+    assert json_path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_stats_missing_file_exits_3(runner, tmp_path):
@@ -193,6 +203,11 @@ def test_cv_out_of_range_values_exit_2(runner, dataset_files, tmp_path, flags):
         ({"c": "ten"}, "c"),
         ({"methods": 5}, "methods"),
         ({"tree": {"max_depth": "deep"}}, "tree_max_depth"),
+        ({"c": True}, "c"),
+        ({"c": 2.9}, "c"),
+        ({"repeats": 1.5}, "repeats"),
+        ({"seed": 3.7}, "seed"),
+        ({"theta_max": True}, "theta_max"),
     ],
 )
 def test_cv_config_wrong_type_exits_2(runner, dataset_files, tmp_path, override, key):
@@ -306,6 +321,20 @@ def test_cv_accepts_nominal_features(runner, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert (tmp_path / "out" / "cv_results.json").exists()
+
+
+def test_cv_non_finite_feature_exits_3(runner, dataset_files, tmp_path):
+    arff, xml = dataset_files
+    lines = Path(arff).read_text().splitlines()
+    first_row = lines.index("@data") + 1
+    lines[first_row] = "nan," + lines[first_row].split(",", 1)[1]
+    bad = tmp_path / "nan.arff"
+    bad.write_text("\n".join(lines) + "\n")
+    result = _run_cv(runner, str(bad), xml, tmp_path / "x")
+    assert result.exit_code == 3, result.output
+    record = json.loads(result.stderr.strip().splitlines()[-1])
+    assert record["error"] == "MalformedArff"
+    assert "nan" in record["message"]
 
 
 def test_rank_over_two_datasets(runner, tmp_path):

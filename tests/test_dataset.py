@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +16,7 @@ from chainbalance.dataset import (
     all_label_stats,
     compute_label_stats,
     load_mulan,
+    load_mulan_files,
     reduce_features_by_frequency,
     summarize,
     to_arff_text,
@@ -105,9 +111,75 @@ def test_quoted_attribute_names():
     assert ds.features[0, 0] == 3.25
 
 
+QUOTED_ARFF = (
+    "@relation 'quoted rel'\r\n"
+    "@attribute a numeric\r\n"
+    "@attribute colour {'dark red',\"x,y\",plain}\r\n"
+    "@attribute b numeric\r\n"
+    "@attribute L1 {0,1}\r\n"
+    "@data\r\n"
+    "% a comment inside @data\r\n"
+    " '1.5' , 'dark red' , 2 , '1' \r\n"
+    "\r\n"
+    "\"-3\",\"x,y\",4.25,0\r\n"
+    "{0 '7', 1 \"x,y\", 3 \"1\"}\r\n"
+    "{ 1 'dark red' ,2 '0.5' }\r\n"
+    "   \r\n"
+    "0,plain,1,1\r\n"
+)
+
+
+def test_quoted_values_dense_and_sparse():
+    ds = load_mulan(QUOTED_ARFF, XML_L1)
+    assert ds.relation == "quoted rel"
+    assert ds.feature_kinds[1].categories == ("dark red", "x,y", "plain")
+    assert ds.features.tolist() == [
+        [1.5, 0.0, 2.0],
+        [-3.0, 1.0, 4.25],
+        [7.0, 1.0, 0.0],
+        [0.0, 0.0, 0.5],
+        [0.0, 2.0, 1.0],
+    ]
+    assert ds.labels[:, 0].tolist() == [1, 0, 1, 0, 1]
+
+
+@pytest.mark.parametrize("row", ["'1.5,2.0,1", "1.5,\"2.0,1", "{0 '1, 2 1}"])
+def test_unterminated_quote_in_row(row):
+    with pytest.raises(MalformedArff, match="unterminated quote"):
+        load_mulan(DENSE_ARFF + row + "\n", XML_L1)
+
+
+def _load_workloads_module():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # @dataclass looks its module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["yeast-chains", "scene-wide-2jobs", "flags-protocol"])
+def test_benchmark_shapes_load_exactly(name, tmp_path):
+    # The benchmark writes its datasets itself; the reader must give back
+    # the generated matrices bit for bit.
+    workloads = _load_workloads_module()
+    w = dataclasses.replace(workloads.WORKLOADS[name], n=200)
+    features, labels = workloads.generate(w, seed=3)
+    arff, xml = workloads.write_mulan(tmp_path, w.name, features, labels, w.integer_features)
+    ds = load_mulan_files(arff, xml)
+    assert np.array_equal(ds.features, features)
+    assert np.array_equal(ds.labels, labels)
+    assert ds.label_names == tuple(f"L{j}" for j in range(w.q))
+    assert ds.feature_kinds == tuple(Attribute(f"x{i}") for i in range(w.d))
+    assert ds.relation == w.name
+
+
 @pytest.mark.parametrize(
     "row",
-    ["1.5,2.0", "1.5,2.0,1,1", "oops,2.0,1", "?,2.0,1", "{5 1}", "{0 1, 0 2, 2 1}"],
+    [
+        "1.5,2.0", "1.5,2.0,1,1", "oops,2.0,1", "?,2.0,1", "{5 1}", "{0 1, 0 2, 2 1}",
+        "nan,2.0,1", "inf,2.0,1", "1.5,-inf,1", "1e999,2.0,1", "{0 nan, 2 1}",
+    ],
 )
 def test_malformed_rows(row):
     with pytest.raises(MalformedArff):
@@ -319,3 +391,27 @@ def test_dataset_invariant_enforcement():
             label_names=("A", "A"),
             feature_kinds=(Attribute("x"),),
         )
+
+
+# Names are stripped on reading, and a name holding "'" cannot be written
+# inside the single quotes that to_arff_text puts around it.
+_CATEGORY = st.text(alphabet='ab ,"{}%', min_size=1, max_size=4).filter(
+    lambda s: s == s.strip()
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CATEGORY, min_size=1, max_size=4, unique=True), st.data())
+def test_round_trip_nominal_category_names(categories, data):
+    n = data.draw(st.integers(1, 6))
+    codes = data.draw(st.lists(st.integers(0, len(categories) - 1), min_size=n, max_size=n))
+    ds = MultiLabelDataset(
+        features=np.column_stack([np.array(codes, dtype=float), np.arange(n) / 4]),
+        labels=np.arange(n).reshape(n, 1) % 2,
+        label_names=("L1",),
+        feature_kinds=(Attribute("colour", tuple(categories)), Attribute("x")),
+    )
+    again = load_mulan(to_arff_text(ds), to_xml_text(ds))
+    assert again.feature_kinds == ds.feature_kinds
+    assert np.array_equal(again.features, ds.features)
+    assert np.array_equal(again.labels, ds.labels)
