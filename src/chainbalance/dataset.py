@@ -370,8 +370,17 @@ def _format_value(attr: Attribute, value: float) -> str:
 
 
 def _quote_if_needed(token: str) -> str:
+    """The token as ARFF reads it back: quoted if it holds a special
+    character, in double quotes if it holds a single one."""
+    if token != token.strip():
+        raise ValueError(
+            f"cannot write {token!r} to ARFF: blanks around a value are dropped on reading"
+        )
+    if "'" in token and '"' in token:
+        raise ValueError(f"cannot write {token!r} to ARFF: it holds both quote characters")
     if any(ch in token for ch in ", '\"{}%"):
-        return "'" + token + "'"
+        quote = '"' if "'" in token else "'"
+        return quote + token + quote
     return token
 
 

@@ -9,6 +9,14 @@ candidate would starve a child below min_samples_leaf. Fitting is fully
 deterministic; ties between equally good splits resolve to the lowest
 feature index and then the lowest threshold, so row order never affects the
 result.
+
+The search works on presorted feature-major lists, as in SLIQ and SPRINT
+(Mehta et al. 1996; Shafer et al. 1996). An order is a (d, n) int32 array
+whose row f lists the row ids stably sorted by feature f. fit_tree sorts
+once per fit unless given an order; a chain sorts its base features once and
+derives each link's order with append_order and subset_order. Every node
+carries its rows' ids, values and targets in that layout, and a split
+partitions them stably, so no node sorts again.
 """
 
 from __future__ import annotations
@@ -58,68 +66,54 @@ class BinaryModel:
         return self.feature.shape[0]
 
 
-def _best_split(
-    sorted_vals: np.ndarray, sorted_y: np.ndarray, min_leaf: int
-) -> tuple[int, float] | None:
-    """Exhaustive search over all feature/threshold pairs.
+def sort_order(X: np.ndarray) -> np.ndarray:
+    """The presorted lists of X: a (d, n) int32 array whose row f holds the
+    row ids of X sorted stably by feature f."""
+    return np.argsort(X.T, axis=1, kind="stable").astype(np.int32)
 
-    Takes per-feature value-sorted views of the node's rows and returns
-    (feature, threshold), or None when no admissible split exists. Ties
-    prefer the lowest feature index, then the lowest threshold.
+
+def subset_order(order: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The order of X[rows], filtered from the order of X.
+
+    rows must be strictly increasing, so that renumbering the kept rows
+    0..len(rows)-1 preserves their relative order and the filtered lists are
+    what a stable argsort of X[rows] would give.
     """
-    n = sorted_vals.shape[0]
-    if n < 2 * min_leaf:
-        return None
-    cum_pos = np.cumsum(sorted_y, axis=0, dtype=np.float64)
-    total_pos = cum_pos[-1]
-
-    left_n = np.arange(1, n, dtype=np.float64)[:, None]
-    right_n = n - left_n
-    left_pos = cum_pos[:-1]
-    right_pos = total_pos[None, :] - left_pos
-
-    admissible = (
-        (sorted_vals[:-1] != sorted_vals[1:])
-        & (left_n >= min_leaf)
-        & (right_n >= min_leaf)
-    )
-    if not admissible.any():
-        return None
-
-    p_left = left_pos / left_n
-    p_right = right_pos / right_n
-    weighted = (
-        left_n * 2.0 * p_left * (1.0 - p_left)
-        + right_n * 2.0 * p_right * (1.0 - p_right)
-    ) / n
-    weighted[~admissible] = np.inf
-
-    # Column-major argmin: lowest feature index wins ties, then lowest
-    # split position (and the positions are sorted by value).
-    flat = int(np.argmin(weighted.T))
-    feat, pos = divmod(flat, n - 1)
-    threshold = float((sorted_vals[pos, feat] + sorted_vals[pos + 1, feat]) / 2.0)
-    if threshold == sorted_vals[pos + 1, feat]:
-        # Adjacent doubles can round the midpoint up to the right value,
-        # which would desynchronize the <= partition from the evaluated
-        # boundary; clamp to the left value instead.
-        threshold = float(sorted_vals[pos, feat])
-    return feat, threshold
+    renumber = np.full(order.shape[1], -1, dtype=np.int32)
+    renumber[rows] = np.arange(len(rows), dtype=np.int32)
+    mapped = renumber[order]
+    return np.compress((mapped >= 0).ravel(), mapped).reshape(order.shape[0], len(rows))
 
 
-def fit_tree(bd: BinaryDataset, spec: TreeSpec) -> BinaryModel:
+def append_order(order: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """The order of X with a 0/1 column appended: its list is the zero rows,
+    then the one rows, each in row order, as a stable argsort gives."""
+    zeros_then_ones = np.concatenate([np.flatnonzero(column == 0), np.flatnonzero(column)])
+    return np.vstack([order, zeros_then_ones.astype(np.int32)[None, :]])
+
+
+def fit_tree(
+    bd: BinaryDataset, spec: TreeSpec, order: np.ndarray | None = None
+) -> BinaryModel:
     """Grow a tree on a binary dataset.
 
-    The search is exhaustive and deterministic. Feature orderings are sorted
-    once at the root and partitioned stably at each split, so no node
-    re-sorts its rows.
+    order must equal sort_order(bd.features) and is computed here when not
+    given. Each node carries (d, m) arrays of its row ids, values and
+    targets, row f sorted by feature f. The search scans the prefix sums of
+    positives along every row at once; a split partitions the three arrays
+    stably, so the children need no sort and no gather from the full matrix.
     """
     if bd.n == 0:
         raise ValueError("cannot fit a tree on an empty dataset")
     X = bd.features
-    y = bd.targets.astype(np.int8)
-    d = X.shape[1]
-    col_index = np.arange(d)[None, :]
+    y = bd.targets
+    n, d = X.shape
+    if order is None:
+        order = sort_order(X)
+    elif order.shape != (d, n):
+        raise ValueError(f"order has shape {order.shape}, expected {(d, n)}")
+    min_leaf = spec.min_samples_leaf
+    max_depth = spec.max_depth
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -139,42 +133,107 @@ def fit_tree(bd: BinaryDataset, spec: TreeSpec) -> BinaryModel:
         pos_frac.append(pos / n)
         return idx
 
-    # order holds, per feature column, the node's row ids sorted by that
-    # feature's value; every column contains the same row set.
-    root_order = np.argsort(X, axis=0, kind="stable").astype(np.int32)
-    root = new_node(int(y.sum()), bd.n)
+    def splittable(pos: int, m: int, depth: int) -> bool:
+        return (
+            0 < pos < m
+            and (max_depth is None or depth < max_depth)
+            and m >= 2 * min_leaf
+        )
+
+    # Work buffers for the search, sized for the root. A node of m rows has
+    # k = m - 2*min_leaf + 1 candidate positions lo..hi-1: the split after
+    # position i leaves i+1 rows left and m-i-1 right, both >= min_leaf.
+    counts = np.arange(n + 1, dtype=np.float64)
+    twice = 2.0 * counts
+    size = d * max(n - 2 * min_leaf + 1, 0)
+    cum_buf = np.empty(d * n, dtype=np.int32)
+    gini_buf = np.empty(size)
+    other_buf = np.empty(size)
+    tmp_buf = np.empty(size)
+    tie_buf = np.empty(d * n, dtype=bool)
+    goes_left = np.empty(n, dtype=bool)
+
+    pos = int(y.sum())
+    root = new_node(pos, n)
+    lists = None
+    if splittable(pos, n, 0):
+        lists = (order, np.take_along_axis(X.T, order, axis=1), y.take(order))
     # Explicit stack: unlimited-depth trees can exceed the recursion limit.
-    stack: list[tuple[int, np.ndarray, int]] = [(root, root_order, 0)]
+    # A node pushed without lists is a leaf.
+    stack = [(root, lists, 0, pos)]
     while stack:
-        node, order, depth = stack.pop()
+        node, lists, depth, pos = stack.pop()
         max_depth_seen = max(max_depth_seen, depth)
-        n_node = order.shape[0]
-        sorted_y = y[order]
-        pos = int(sorted_y[:, 0].sum())
-        if pos == 0 or pos == n_node:
+        if lists is None:
             continue
-        if spec.max_depth is not None and depth >= spec.max_depth:
+        ids, vals, tgt = lists
+        m = ids.shape[1]
+        lo, hi = min_leaf - 1, m - min_leaf
+        k = hi - lo
+        cum = tgt.cumsum(axis=1, dtype=np.int32, out=cum_buf[: d * m].reshape(d, m))
+        left_pos = cum[:, lo:hi]
+        # Weighted Gini, operation for operation as
+        # (ln*2*pl*(1-pl) + rn*2*pr*(1-pr)) / m, so ties compare exactly.
+        gini = gini_buf[: d * k].reshape(d, k)
+        other = other_buf[: d * k].reshape(d, k)
+        tmp = tmp_buf[: d * k].reshape(d, k)
+        np.divide(left_pos, counts[min_leaf : hi + 1], out=gini)
+        np.subtract(1.0, gini, out=tmp)
+        np.multiply(gini, twice[min_leaf : hi + 1], out=gini)
+        np.multiply(gini, tmp, out=gini)
+        np.subtract(pos, left_pos, out=other)
+        np.divide(other, counts[hi:lo:-1], out=other)
+        np.subtract(1.0, other, out=tmp)
+        np.multiply(other, twice[hi:lo:-1], out=other)
+        np.multiply(other, tmp, out=other)
+        np.add(gini, other, out=gini)
+        np.divide(gini, m, out=gini)
+        # A split between equal values is not a candidate: add 1 there, above
+        # any weighted Gini (at most 0.5), leaving the others exact. Comparing
+        # the flattened lists is one contiguous pass; the pairs that straddle
+        # two features' lists fall outside the candidate columns.
+        flat = vals.ravel()
+        np.equal(flat[:-1], flat[1:], out=tie_buf[: d * m - 1])
+        np.add(gini, tie_buf[: d * m].reshape(d, m)[:, lo:hi], out=gini)
+        # C-order argmin: lowest feature first, then lowest position.
+        best = int(gini.argmin())
+        if gini.flat[best] >= 1.0:
             continue
-        sorted_vals = X[order, col_index]
-        found = _best_split(sorted_vals, sorted_y, spec.min_samples_leaf)
-        if found is None:
-            continue
-        feat, thr = found
-        go_left = X[:, feat] <= thr
-        keep = go_left[order]  # (n_node, d); column sums are all equal
-        left_n = int(keep[:, 0].sum())
-        left_order = order.T[keep.T].reshape(d, left_n).T
-        right_order = order.T[~keep.T].reshape(d, n_node - left_n).T
+        feat, at = divmod(best, k)
+        at += lo
+        thr = float((vals[feat, at] + vals[feat, at + 1]) / 2.0)
+        if thr == vals[feat, at + 1]:
+            # Adjacent doubles can round the midpoint up to the right value,
+            # which would desynchronize the <= partition from the evaluated
+            # boundary; clamp to the left value instead.
+            thr = float(vals[feat, at])
+        # The left child is the prefix of feature feat's list at or below thr.
+        left_n = int(np.count_nonzero(vals[feat] <= thr))
+        right_n = m - left_n
+        lpos = int(cum[feat, left_n - 1]) if left_n else 0
+        rpos = pos - lpos
         feature[node] = feat
         threshold[node] = thr
-        lpos = int(y[left_order[:, 0]].sum())
-        rpos = pos - lpos
         lchild = new_node(lpos, left_n)
-        rchild = new_node(rpos, n_node - left_n)
+        rchild = new_node(rpos, right_n)
         left[node] = lchild
         right[node] = rchild
-        stack.append((lchild, left_order, depth + 1))
-        stack.append((rchild, right_order, depth + 1))
+        # Children that will be leaves get no lists.
+        left_lists = right_lists = None
+        split_left = splittable(lpos, left_n, depth + 1)
+        split_right = splittable(rpos, right_n, depth + 1)
+        if split_left or split_right:
+            goes_left[ids[feat, :left_n]] = True
+            goes_left[ids[feat, left_n:]] = False
+            mask = goes_left.take(ids).ravel()
+            if split_left:
+                keep = mask.nonzero()[0]
+                left_lists = tuple(a.take(keep).reshape(d, left_n) for a in lists)
+            if split_right:
+                keep = (~mask).nonzero()[0]
+                right_lists = tuple(a.take(keep).reshape(d, right_n) for a in lists)
+        stack.append((lchild, left_lists, depth + 1, lpos))
+        stack.append((rchild, right_lists, depth + 1, rpos))
 
     return BinaryModel(
         feature=np.array(feature, dtype=np.int32),
@@ -183,7 +242,7 @@ def fit_tree(bd: BinaryDataset, spec: TreeSpec) -> BinaryModel:
         right=np.array(right, dtype=np.int32),
         leaf_value=np.array(leaf_value, dtype=np.int8),
         positive_fraction=np.array(pos_frac, dtype=np.float64),
-        n_features=X.shape[1],
+        n_features=d,
         depth=max_depth_seen,
     )
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import chainbalance.chain as chain_module
 from chainbalance.chain import (
     ChainModel,
     ChainSpec,
@@ -12,6 +13,7 @@ from chainbalance.chain import (
     train_ccru,
 )
 from chainbalance.dataset import Attribute, MultiLabelDataset
+from chainbalance.ensemble import EnsembleSpec, train_ensemble
 from chainbalance.errors import ArityMismatch, SingleClassLabel
 from chainbalance.learner import TreeSpec, fit_tree, predict_batch, tree_to_dict
 from chainbalance.sampling import BinaryDataset, RngStream
@@ -162,3 +164,24 @@ def test_copied_labels_vote_identically():
     stacked = np.vstack([preds for _, preds in votes])
     assert (stacked == stacked[0]).all()
     assert np.array_equal(stacked[0], y0)
+
+
+@pytest.mark.parametrize("method", ["ECC", "ECCRU"])
+def test_chain_links_fit_on_presorted_orders(method, monkeypatch):
+    # Bootstrapped rows (duplicates) and 0/1 chain columns make many ties.
+    ds = make_dataset(120, [0.5, 0.3, 0.2, 0.1], noise_features=3, seed=5)
+    real_fit = chain_module.fit_tree
+    fitted = []
+
+    def checked_fit(bd, spec, order=None):
+        assert np.array_equal(order, np.argsort(bd.features, axis=0, kind="stable").T)
+        model = real_fit(bd, spec, order)
+        assert tree_to_dict(model) == tree_to_dict(real_fit(bd, spec))
+        fitted.append(bd.n)
+        return model
+
+    monkeypatch.setattr(chain_module, "fit_tree", checked_fit)
+    train_ensemble(ds, EnsembleSpec(method=method, c=3, seed=2))
+    assert len(fitted) == 3 * ds.q
+    if method == "ECCRU":
+        assert min(fitted) < ds.n

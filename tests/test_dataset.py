@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -393,10 +394,10 @@ def test_dataset_invariant_enforcement():
         )
 
 
-# Names are stripped on reading, and a name holding "'" cannot be written
-# inside the single quotes that to_arff_text puts around it.
-_CATEGORY = st.text(alphabet='ab ,"{}%', min_size=1, max_size=4).filter(
-    lambda s: s == s.strip()
+# to_arff_text refuses a name with blanks around it or with both quote
+# characters (see test_to_arff_text_refuses_unreadable_names).
+_CATEGORY = st.text(alphabet="ab ,'\"{}%", min_size=1, max_size=4).filter(
+    lambda s: s == s.strip() and not ("'" in s and '"' in s)
 )
 
 
@@ -410,8 +411,27 @@ def test_round_trip_nominal_category_names(categories, data):
         labels=np.arange(n).reshape(n, 1) % 2,
         label_names=("L1",),
         feature_kinds=(Attribute("colour", tuple(categories)), Attribute("x")),
+        relation=categories[0],
     )
     again = load_mulan(to_arff_text(ds), to_xml_text(ds))
     assert again.feature_kinds == ds.feature_kinds
+    assert again.relation == ds.relation
     assert np.array_equal(again.features, ds.features)
     assert np.array_equal(again.labels, ds.labels)
+
+
+@pytest.mark.parametrize("name", [" a", "a ", "b\t", "it's \"x\""])
+@pytest.mark.parametrize("place", ["category", "attribute", "label", "relation"])
+def test_to_arff_text_refuses_unreadable_names(name, place):
+    def at(here: str, default: str) -> str:
+        return name if place == here else default
+
+    ds = MultiLabelDataset(
+        features=np.array([[0.0], [1.0]]),
+        labels=np.array([[0], [1]]),
+        label_names=(at("label", "L1"),),
+        feature_kinds=(Attribute(at("attribute", "c"), (at("category", "x"), "y")),),
+        relation=at("relation", "r"),
+    )
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        to_arff_text(ds)

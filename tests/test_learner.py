@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 from chainbalance.errors import ArityMismatch
 from chainbalance.learner import (
     TreeSpec,
+    append_order,
     fit_tree,
     predict_batch,
+    sort_order,
+    subset_order,
     tree_to_dict,
 )
 from chainbalance.sampling import BinaryDataset
+from reference_tree import fit_tree as reference_fit_tree
 
 UNLIMITED = TreeSpec(max_depth=None, min_samples_leaf=1)
 
@@ -138,3 +142,60 @@ def test_spec_validation():
         TreeSpec(min_samples_leaf=0)
     with pytest.raises(ValueError):
         TreeSpec(max_depth=-1)
+
+
+def _features(kind: str, n: int, d: int, gen: np.random.Generator) -> np.ndarray:
+    if kind == "continuous":
+        return gen.normal(size=(n, d))
+    if kind == "integer":
+        return gen.integers(0, 4, size=(n, d)).astype(np.float64)
+    if kind == "bootstrap":
+        return gen.normal(size=(n, d))[gen.integers(0, n, size=n)]
+    # Adjacent doubles: every feature takes two consecutive values.
+    low = gen.normal(size=d)
+    return np.where(gen.random((n, d)) < 0.5, low, np.nextafter(low, np.inf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["continuous", "integer", "bootstrap", "adjacent"]),
+    st.integers(1, 60),
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.sampled_from([None, 0, 1, 2, 3]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_fit_tree_matches_reference_kernel(kind, n, d, min_leaf, max_depth, pass_order, seed):
+    gen = np.random.default_rng(seed)
+    X = _features(kind, n, d, gen)
+    y = (gen.random(n) < gen.random()).astype(np.int8)
+    bd = BinaryDataset(X, y)
+    spec = TreeSpec(max_depth=max_depth, min_samples_leaf=min_leaf)
+    order = sort_order(X) if pass_order else None
+    assert tree_to_dict(fit_tree(bd, spec, order)) == tree_to_dict(reference_fit_tree(bd, spec))
+
+
+def _stable_order(X: np.ndarray) -> np.ndarray:
+    return np.argsort(X, axis=0, kind="stable").T
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_subset_and_append_orders_are_stable_argsorts(n, d, seed):
+    gen = np.random.default_rng(seed)
+    X = gen.integers(0, 3, size=(n, d)).astype(np.float64)  # many ties
+    order = sort_order(X)
+    assert order.dtype == np.int32
+    assert np.array_equal(order, _stable_order(X))
+    rows = np.flatnonzero(gen.random(n) < 0.6)
+    assert np.array_equal(subset_order(order, rows), _stable_order(X[rows]))
+    column = gen.integers(0, 2, size=n).astype(np.int8)
+    augmented = np.hstack([X, column[:, None].astype(np.float64)])
+    assert np.array_equal(append_order(order, column), _stable_order(augmented))
+
+
+def test_fit_tree_rejects_order_of_wrong_shape():
+    bd = _bd([[0, 1], [1, 0], [2, 2]], [0, 1, 1])
+    with pytest.raises(ValueError, match="order has shape"):
+        fit_tree(bd, TreeSpec(), sort_order(bd.features[:2]))
