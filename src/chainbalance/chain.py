@@ -23,7 +23,6 @@ from .learner import (
     fit_tree,
     predict_batch,
     sort_order,
-    subset_order,
     tree_to_dict,
 )
 from .sampling import BinaryDataset, RngStream, random_undersample
@@ -87,37 +86,34 @@ def _train_chain(
 ) -> ChainModel:
     """The link loop of both chain kinds; rng=None trains a plain chain.
 
-    The base features are sorted once; each link's presorted lists come
-    from that order, extended by one 0/1 column per link and, for a balanced
-    link, filtered to the rows it keeps.
+    A plain chain sorts the base features once and extends that order by one
+    0/1 column per link. A balanced link fits on its own kept rows, which
+    fit_tree sorts.
     """
     _check_chain(ds, chain)
     links = []
     counts = []
     X_aug = ds.features
-    order = sort_order(X_aug)
+    order = sort_order(X_aug) if rng is None else None
     for offset, label in enumerate(chain.sequence):
         targets = ds.labels[:, label]
-        bd = BinaryDataset(X_aug, targets)
-        link_order = order
-        if rng is not None:
-            if bd.positive_count == 0 or bd.negative_count == 0:
+        if rng is None:
+            bd = BinaryDataset(X_aug, targets)
+        else:
+            if not targets.any() or targets.all():
                 raise SingleClassLabel(
                     f"label {label} is single-class in this training set"
                 )
-            # Undersample the row ids: random_undersample keeps row order, so
-            # the kept ids are increasing and index both X_aug and order.
-            row_ids = BinaryDataset(np.arange(bd.n, dtype=np.float64)[:, None], targets)
-            kept = random_undersample(row_ids, rng.child(offset)).features[:, 0].astype(np.intp)
+            kept = random_undersample(targets, rng.child(offset))
             bd = BinaryDataset(X_aug[kept], targets[kept])
-            link_order = subset_order(order, kept)
-        model = fit_tree(bd, spec, link_order)
+        model = fit_tree(bd, spec, order)
         links.append((label, model))
         counts.append((bd.positive_count, bd.negative_count))
         if offset < len(chain) - 1:
             column = targets if rng is None else predict_batch(model, X_aug)
             X_aug = np.hstack([X_aug, column.astype(np.float64)[:, None]])
-            order = append_order(order, column)
+            if order is not None:
+                order = append_order(order, column)
     return ChainModel(
         links=tuple(links),
         base_arity=ds.d,

@@ -57,7 +57,7 @@ class MultiLabelDataset:
 
     def __post_init__(self) -> None:
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
-        labs = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int8))
+        labs = np.asarray(self.labels)
         if feats.ndim != 2 or labs.ndim != 2:
             raise ValueError("features and labels must be 2-D matrices")
         if feats.shape[0] != labs.shape[0]:
@@ -66,8 +66,9 @@ class MultiLabelDataset:
             raise ValueError("dataset needs at least one row")
         if labs.shape[1] < 1:
             raise ValueError("dataset needs at least one label")
-        if not np.isin(labs, (0, 1)).all():
+        if not ((labs == 0) | (labs == 1)).all():
             raise ValueError("label matrix must contain only 0/1 values")
+        labs = np.ascontiguousarray(labs, dtype=np.int8)
         if len(self.label_names) != labs.shape[1]:
             raise ValueError("label_names length must equal label column count")
         if len(set(self.label_names)) != len(self.label_names):
@@ -372,6 +373,8 @@ def _format_value(attr: Attribute, value: float) -> str:
 def _quote_if_needed(token: str) -> str:
     """The token as ARFF reads it back: quoted if it holds a special
     character, in double quotes if it holds a single one."""
+    if not token:
+        raise ValueError(f"cannot write {token!r} to ARFF: an empty value is not read back")
     if token != token.strip():
         raise ValueError(
             f"cannot write {token!r} to ARFF: blanks around a value are dropped on reading"

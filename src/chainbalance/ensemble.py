@@ -34,7 +34,6 @@ from .errors import (
     ArityMismatch,
     ConfigError,
     NoTrainableLabels,
-    SingleClassLabel,
     ZeroMinorityCount,
 )
 from .learner import TreeSpec, fit_tree
@@ -71,14 +70,13 @@ _METHOD_TABLE = {
 }
 METHODS = tuple(_METHOD_TABLE)
 
-# Substream layout under a per-round stream: bootstrap attempts at
-# child(0, attempt), chain permutation at child(1), link training at
-# child(2, link). Fixed so parallel and sequential builds are identical.
+# Substream layout under a per-round stream: the bootstrap at child(0, 0),
+# chain permutation at child(1), link training at child(2, link), where link
+# counts the labels left after the bootstrap. Fixed so parallel and
+# sequential builds are identical.
 _BOOT = 0
 _PERMUTE = 1
 _TRAIN = 2
-
-_MAX_BOOTSTRAP_ATTEMPTS = 1000
 
 MODEL_SCHEMA = "chainbalance.model.v1"
 
@@ -136,8 +134,9 @@ class EnsembleModel:
     """Chains plus per-label vote counters and constant fallbacks.
 
     vote_counts[k] is the number of fitted binary classifiers whose target is
-    label k; it normalizes the vote sums at prediction time. Labels that were
-    single-class at training time are served by their constant class.
+    label k; it normalizes the vote sums at prediction time, and is 0 for a
+    label that every round dropped. Labels that were single-class at training
+    time are served by their constant class.
     """
 
     method: str
@@ -213,28 +212,6 @@ def chain_label_sets(targets: list[int] | tuple[int, ...], max_rounds: int) -> l
     return rounds
 
 
-def _bootstrap_with_classes(
-    ds: MultiLabelDataset,
-    stream: RngStream,
-    required_labels: tuple[int, ...],
-) -> MultiLabelDataset:
-    """Bootstrap resample; redraw until every required label keeps both classes."""
-    for attempt in range(_MAX_BOOTSTRAP_ATTEMPTS):
-        sample = bootstrap(ds, stream.child(attempt))
-        ok = True
-        for j in required_labels:
-            total = int(sample.labels[:, j].sum())
-            if total == 0 or total == sample.n:
-                ok = False
-                break
-        if ok:
-            return sample
-    raise SingleClassLabel(
-        "could not draw a bootstrap sample keeping both classes for all "
-        f"chained labels after {_MAX_BOOTSTRAP_ATTEMPTS} attempts"
-    )
-
-
 def _permute(labels: tuple[int, ...], stream: RngStream) -> ChainSpec:
     gen = stream.generator()
     order = gen.permutation(len(labels))
@@ -245,9 +222,12 @@ def _single_link(
     ds: MultiLabelDataset, label: int, tree: TreeSpec, stream: RngStream | None
 ) -> ChainModel:
     """A one-link chain; with a stream, the link fits on a balanced subset."""
-    bd = BinaryDataset(ds.features, ds.labels[:, label])
+    X = ds.features
+    targets = ds.labels[:, label]
     if stream is not None:
-        bd = random_undersample(bd, stream)
+        kept = random_undersample(targets, stream)
+        X, targets = X[kept], targets[kept]
+    bd = BinaryDataset(X, targets)
     return ChainModel(
         links=((label, fit_tree(bd, tree)),),
         base_arity=ds.d,
@@ -263,10 +243,18 @@ def _train_round(
     tree: TreeSpec,
 ) -> list[ChainModel]:
     """Build one round: an optional bootstrap, then one chain over the labels
-    in random order or one single-link chain per label."""
+    in random order or one single-link chain per label.
+
+    The bootstrap is drawn once. An undersampled round drops the labels that
+    are single-class in it, and a round left with no labels trains nothing.
+    """
     if method.bagged:
-        required = labels if method.undersampled else ()
-        ds = _bootstrap_with_classes(ds, stream.child(_BOOT), required)
+        ds = bootstrap(ds, stream.child(_BOOT, 0))
+        if method.undersampled:
+            column_sums = ds.labels.sum(axis=0)
+            labels = tuple(j for j in labels if 0 < column_sums[j] < ds.n)
+            if not labels:
+                return []
     if method.chained:
         order = _permute(labels, stream.child(_PERMUTE))
         if method.undersampled:
@@ -303,7 +291,9 @@ def train_ensemble(
     predictions. The method's switches turn into a list of rounds, each a
     tuple of labels; rounds may run concurrently, and each derives its own
     substream from (seed, round index), so the result is independent of
-    n_jobs.
+    n_jobs. In an undersampled bagged round, a label that is single-class in
+    the round's bootstrap gets no link there; a label left without a link in
+    every round scores 0.0.
     """
     stats = all_label_stats(ds)
     skipped = {
@@ -354,7 +344,8 @@ def predict_relevance_batch(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
     """Per-label relevance degrees in [0, 1] for every row of X.
 
     Each label's score is its positive votes divided by the number of
-    classifiers that target it; constant labels yield 0.0 or 1.0.
+    classifiers that target it; constant labels yield 0.0 or 1.0, and a
+    label that no classifier targets yields 0.0.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.base_arity:

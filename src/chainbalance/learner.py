@@ -13,10 +13,11 @@ result.
 The search works on presorted feature-major lists, as in SLIQ and SPRINT
 (Mehta et al. 1996; Shafer et al. 1996). An order is a (d, n) int32 array
 whose row f lists the row ids stably sorted by feature f. fit_tree sorts
-once per fit unless given an order; a chain sorts its base features once and
-derives each link's order with append_order and subset_order. Every node
-carries its rows' ids, values and targets in that layout, and a split
-partitions them stably, so no node sorts again.
+once per fit unless given an order. A plain chain sorts its base features
+once and derives each link's order with append_order; a balanced link fits
+on its own few rows and is sorted there. Every node carries its rows' ids,
+values and targets in that layout, and a split partitions them stably, so
+no node sorts again.
 """
 
 from __future__ import annotations
@@ -70,19 +71,6 @@ def sort_order(X: np.ndarray) -> np.ndarray:
     """The presorted lists of X: a (d, n) int32 array whose row f holds the
     row ids of X sorted stably by feature f."""
     return np.argsort(X.T, axis=1, kind="stable").astype(np.int32)
-
-
-def subset_order(order: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The order of X[rows], filtered from the order of X.
-
-    rows must be strictly increasing, so that renumbering the kept rows
-    0..len(rows)-1 preserves their relative order and the filtered lists are
-    what a stable argsort of X[rows] would give.
-    """
-    renumber = np.full(order.shape[1], -1, dtype=np.int32)
-    renumber[rows] = np.arange(len(rows), dtype=np.int32)
-    mapped = renumber[order]
-    return np.compress((mapped >= 0).ravel(), mapped).reshape(order.shape[0], len(rows))
 
 
 def append_order(order: np.ndarray, column: np.ndarray) -> np.ndarray:

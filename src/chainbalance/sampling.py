@@ -58,13 +58,14 @@ class BinaryDataset:
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
-        targs = np.asarray(self.targets, dtype=np.int8)
+        targs = np.asarray(self.targets)
         if feats.ndim != 2 or targs.ndim != 1:
             raise ValueError("features must be 2-D and targets 1-D")
         if feats.shape[0] != targs.shape[0]:
             raise ValueError("features and targets disagree on row count")
-        if not np.isin(targs, (0, 1)).all():
+        if not ((targs == 0) | (targs == 1)).all():
             raise ValueError("targets must be 0/1")
+        targs = targs.astype(np.int8, copy=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "targets", targs)
 
@@ -88,29 +89,29 @@ def bootstrap(ds: MultiLabelDataset, rng: RngStream) -> MultiLabelDataset:
     return ds.take_rows(indices)
 
 
-def random_undersample(bd: BinaryDataset, rng: RngStream) -> BinaryDataset:
-    """Drop majority rows uniformly at random until both classes are equal.
+def random_undersample(targets: np.ndarray, rng: RngStream) -> np.ndarray:
+    """The row ids that balance a 0/1 target vector, in increasing order.
 
-    Minority rows are all retained and surviving rows keep their original
-    order. Requires both classes present.
+    Majority rows are dropped uniformly at random until both classes are
+    equal; every minority row is kept. Requires both classes present.
     """
-    pos = bd.positive_count
-    neg = bd.negative_count
+    n = targets.shape[0]
+    pos = int(np.count_nonzero(targets == 1))
+    neg = int(np.count_nonzero(targets == 0))
+    if pos + neg != n:
+        raise ValueError("targets must be 0/1")
     if pos == 0 or neg == 0:
         raise SingleClassInput(
             f"undersampling needs both classes, got {pos} positives / {neg} negatives"
         )
     if pos == neg:
-        return bd
-    majority_value = 1 if pos > neg else 0
-    m = min(pos, neg)
-    big = max(pos, neg)
-    majority_rows = np.flatnonzero(bd.targets == majority_value)
+        return np.arange(n)
+    majority_rows = np.flatnonzero(targets == (1 if pos > neg else 0))
     gen = rng.generator()
-    removed = gen.choice(majority_rows, size=big - m, replace=False)
-    keep = np.ones(bd.n, dtype=bool)
+    removed = gen.choice(majority_rows, size=abs(pos - neg), replace=False)
+    keep = np.ones(n, dtype=bool)
     keep[removed] = False
-    return BinaryDataset(features=bd.features[keep], targets=bd.targets[keep])
+    return np.flatnonzero(keep)
 
 
 def iterative_stratified_kfold(

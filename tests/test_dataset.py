@@ -378,13 +378,15 @@ def test_round_trip_random(n, q, seed):
 
 
 def test_dataset_invariant_enforcement():
-    with pytest.raises(ValueError):
-        MultiLabelDataset(
-            features=np.zeros((2, 1)),
-            labels=np.array([[2], [0]]),
-            label_names=("A",),
-            feature_kinds=(Attribute("x"),),
-        )
+    # Checked before the int8 cast, which would turn 0.5 and 256.0 into 0.
+    for bad in (2, 0.5, 0.9, 256.0, -1):
+        with pytest.raises(ValueError, match="0/1"):
+            MultiLabelDataset(
+                features=np.zeros((2, 1)),
+                labels=np.array([[bad], [0]]),
+                label_names=("A",),
+                feature_kinds=(Attribute("x"),),
+            )
     with pytest.raises(ValueError):
         MultiLabelDataset(
             features=np.zeros((2, 1)),
@@ -394,8 +396,8 @@ def test_dataset_invariant_enforcement():
         )
 
 
-# to_arff_text refuses a name with blanks around it or with both quote
-# characters (see test_to_arff_text_refuses_unreadable_names).
+# to_arff_text refuses an empty name, a name with blanks around it or with
+# both quote characters (see test_to_arff_text_refuses_unreadable_names).
 _CATEGORY = st.text(alphabet="ab ,'\"{}%", min_size=1, max_size=4).filter(
     lambda s: s == s.strip() and not ("'" in s and '"' in s)
 )
@@ -420,7 +422,7 @@ def test_round_trip_nominal_category_names(categories, data):
     assert np.array_equal(again.labels, ds.labels)
 
 
-@pytest.mark.parametrize("name", [" a", "a ", "b\t", "it's \"x\""])
+@pytest.mark.parametrize("name", ["", " a", "a ", "b\t", "it's \"x\""])
 @pytest.mark.parametrize("place", ["category", "attribute", "label", "relation"])
 def test_to_arff_text_refuses_unreadable_names(name, place):
     def at(here: str, default: str) -> str:

@@ -6,11 +6,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainbalance.dataset import Attribute, MultiLabelDataset
 from chainbalance.ensemble import (
+    METHODS,
     EnsembleModel,
     EnsembleSpec,
     chain_label_sets,
@@ -298,6 +299,49 @@ def test_eccru2_single_label_degrades_to_uniform_build():
     ds = dataset_with_label_counts(50, [10], seed=9)
     model = train_ensemble(ds, EnsembleSpec(method="ECCRU2", c=4, seed=1))
     assert model.vote_counts.tolist() == [4]
+
+
+def test_rare_labels_leave_rounds_instead_of_failing():
+    # Every undersampled draw would have to keep all 20 singleton labels at
+    # once; instead, a label missing from a round's bootstrap leaves it.
+    ds = dataset_with_label_counts(300, [1] * 20 + [60], seed=1)
+    for method in METHODS:
+        model = train_ensemble(ds, EnsembleSpec(method=method, c=2, seed=0))
+        assert model.vote_counts[-1] > 0, method
+    ebrus = train_ensemble(ds, EnsembleSpec(method="EBRUS", c=2, seed=0))
+    dropped = ebrus.vote_counts == 0
+    assert dropped.any()
+    assert (predict_relevance_batch(ebrus, ds.features)[:, dropped] == 0.0).all()
+
+
+def test_round_with_no_labels_left_trains_nothing():
+    ds = dataset_with_label_counts(50, [1, 1], seed=4)
+    model = train_ensemble(ds, EnsembleSpec(method="ECCRU", c=6, seed=0))
+    assert 0 < len(model.chains) < 6
+    assert model.vote_counts.tolist() == [4, 3]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=20),
+    st.booleans(),
+    st.integers(1, 4),
+    st.integers(0, 2**16),
+)
+@example(rare=[1, 1], common=False, c=4, seed=4)
+@example(rare=[1] * 20, common=True, c=2, seed=1)
+def test_rare_label_property(rare, common, c, seed):
+    # Rare labels are single-class in many bootstraps; with only singletons,
+    # whole rounds come out empty.
+    ds = dataset_with_label_counts(40, rare + [15] * common, seed=seed)
+    for method in METHODS:
+        spec = EnsembleSpec(method=method, c=c, seed=seed)
+        model = train_ensemble(ds, spec)
+        if method not in ("BR", "ECC"):
+            for chain in model.chains:
+                assert all(pos == neg for pos, neg in chain.fit_class_counts), method
+        parallel = train_ensemble(ds, spec, n_jobs=2)
+        assert ensemble_to_dict(model) == ensemble_to_dict(parallel), method
 
 
 def test_parallel_training_matches_sequential():

@@ -88,12 +88,14 @@ def test_run_cv_payload_structure(files, tmp_path):
 
 
 # sha256 of the two deterministic result files of one all-method run. Label 0
-# has a single positive, so folds see a skipped label, threshold fallbacks and
-# undefined metrics. cv_results.json echoes the input paths, so the run uses
-# relative ones. A change of these constants is a change of the results.
+# has a single positive, so folds see a skipped label, threshold fallbacks,
+# undefined metrics and undersampled rounds whose bootstrap misses the
+# positive and so drop the label. cv_results.json echoes the input paths, so
+# the run uses relative ones. A change of these constants is a change of the
+# results.
 _PINNED_CV_SHA256 = {
-    "cv_results.json": "873308c5dff0c526c470af9a3d479e71d3262d9fa488234716eeebb3f6756d96",
-    "per_label.csv": "f2e6ba226769235e067954b54ea1447572dd07819ced93a1e059155584043503",
+    "cv_results.json": "03886c0a83c247469f427d3b14f19b8294792c3f1bbe8ee0d3118758398bb963",
+    "per_label.csv": "0131b011291e8f45494120acd556ba64b1ba92c2b85c5a12339e0ec516ed62ba",
 }
 
 

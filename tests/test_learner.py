@@ -12,7 +12,6 @@ from chainbalance.learner import (
     fit_tree,
     predict_batch,
     sort_order,
-    subset_order,
     tree_to_dict,
 )
 from chainbalance.sampling import BinaryDataset
@@ -188,8 +187,6 @@ def test_subset_and_append_orders_are_stable_argsorts(n, d, seed):
     order = sort_order(X)
     assert order.dtype == np.int32
     assert np.array_equal(order, _stable_order(X))
-    rows = np.flatnonzero(gen.random(n) < 0.6)
-    assert np.array_equal(subset_order(order, rows), _stable_order(X[rows]))
     column = gen.integers(0, 2, size=n).astype(np.int8)
     augmented = np.hstack([X, column[:, None].astype(np.float64)])
     assert np.array_equal(append_order(order, column), _stable_order(augmented))

@@ -82,40 +82,34 @@ def test_bootstrap_distinct_fraction():
 
 
 def test_undersample_balances():
-    gen = np.random.default_rng(0)
-    features = gen.normal(size=(100, 3))
     targets = np.array([1] * 10 + [0] * 90, dtype=np.int8)
-    bd = BinaryDataset(features, targets)
-    out = random_undersample(bd, RngStream(5))
-    assert out.positive_count == 10 and out.negative_count == 10
+    kept = random_undersample(targets, RngStream(5))
+    assert np.bincount(targets[kept]).tolist() == [10, 10]
     # All original positives retained, in their original order (first ten rows).
-    assert np.array_equal(out.features[out.targets == 1], features[:10])
+    assert np.array_equal(kept[targets[kept] == 1], np.arange(10))
 
 
 def test_undersample_balanced_input_unchanged():
-    bd = BinaryDataset(np.zeros((4, 1)), np.array([1, 0, 1, 0], dtype=np.int8))
-    out = random_undersample(bd, RngStream(0))
-    assert out.n == 4
-    assert np.array_equal(out.targets, bd.targets)
+    targets = np.array([1, 0, 1, 0], dtype=np.int8)
+    kept = random_undersample(targets, RngStream(0))
+    assert len(kept) == 4
+    assert np.array_equal(targets[kept], targets)
 
 
 def test_undersample_deterministic():
-    gen = np.random.default_rng(9)
-    bd = BinaryDataset(
-        gen.normal(size=(60, 2)),
-        np.array([1] * 12 + [0] * 48, dtype=np.int8),
-    )
+    targets = np.array([1] * 12 + [0] * 48, dtype=np.int8)
     stream = RngStream(17, (5,))
-    a = random_undersample(bd, stream)
-    b = random_undersample(bd, stream)
-    assert np.array_equal(a.features, b.features)
-    assert np.array_equal(a.targets, b.targets)
+    a = random_undersample(targets, stream)
+    b = random_undersample(targets, stream)
+    assert np.array_equal(a, b)
+    assert np.array_equal(targets[a], targets[b])
 
 
 def test_undersample_single_class():
-    bd = BinaryDataset(np.zeros((100, 1)), np.zeros(100, dtype=np.int8))
     with pytest.raises(SingleClassInput):
-        random_undersample(bd, RngStream(0))
+        random_undersample(np.zeros(100, dtype=np.int8), RngStream(0))
+    with pytest.raises(ValueError, match="0/1"):
+        random_undersample(np.array([0, 2, 1, 0]), RngStream(0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,18 +122,25 @@ def test_undersample_properties(pos, neg, seed):
     gen = np.random.default_rng(seed)
     targets = np.array([1] * pos + [0] * neg, dtype=np.int8)
     gen.shuffle(targets)
-    features = np.arange(pos + neg, dtype=np.float64)[:, None]
-    bd = BinaryDataset(features, targets)
-    out = random_undersample(bd, RngStream(seed))
+    kept = random_undersample(targets, RngStream(seed))
     m = min(pos, neg)
-    assert out.positive_count == m and out.negative_count == m
-    # Row order is preserved: surviving identifiers are strictly increasing.
-    assert np.all(np.diff(out.features[:, 0]) > 0)
+    assert np.bincount(targets[kept], minlength=2).tolist() == [m, m]
+    # Row order is preserved: the kept row ids are strictly increasing.
+    assert np.all(np.diff(kept) > 0)
     # Minority rows all survive.
     minority_value = 1 if pos <= neg else 0
-    original = set(features[targets == minority_value, 0])
-    surviving = set(out.features[out.targets == minority_value, 0])
+    original = set(np.flatnonzero(targets == minority_value))
+    surviving = set(kept[targets[kept] == minority_value])
     assert original == surviving
+
+
+def test_binary_dataset_targets():
+    bd = BinaryDataset(np.zeros((3, 1)), [0.0, 1.0, 1.0])
+    assert bd.targets.dtype == np.int8 and bd.targets.tolist() == [0, 1, 1]
+    # Checked before the int8 cast, which would turn 0.5 and 256.0 into 0.
+    for bad in (0.5, 0.9, 256.0, -1, 2):
+        with pytest.raises(ValueError, match="0/1"):
+            BinaryDataset(np.zeros((3, 1)), [0.0, 1.0, bad])
 
 
 def test_kfold_two_positives_two_folds():

@@ -30,6 +30,26 @@ print(json.dumps({"names": sorted({s.name for s in rec.spans}),
                   "problems": check_spans(rec.spans)}))
 """
 
+RARE_SCRIPT = """
+import json
+from collections import Counter
+import chainbalance.experiment as experiment
+from chainbalance.ensemble import EnsembleSpec
+from conftest import dataset_with_label_counts
+from spans import Recorder, check_spans
+
+rec = Recorder()
+rec.install()
+ds = dataset_with_label_counts(50, [1, 1, 2, 20], seed=4)
+for method in ("ECCRU", "EBRUS"):
+    experiment.train_ensemble(ds, EnsembleSpec(method=method, c=4, seed=0))
+tasks = [i for i, s in enumerate(rec.spans) if s.name == "ensemble.task"]
+draws = Counter(s.parent for s in rec.spans if s.name == "sampling.bootstrap")
+print(json.dumps({"tasks": len(tasks),
+                  "draws_per_task": [draws[i] for i in tasks],
+                  "problems": check_spans(rec.spans)}))
+"""
+
 CV_SCRIPT = """
 import json
 import sys
@@ -85,4 +105,11 @@ def test_tracer_hooks_record_evaluation(tmp_path):
     } <= set(result["names"])
     assert result["counts"].get("metrics.threshold_scans", 0) > 0
     assert result["counts"].get("metrics.confusions", 0) > 0
+    assert result["problems"] == []
+
+
+def test_tracer_hooks_record_one_draw_per_round_on_rare_labels():
+    result = _traced(RARE_SCRIPT)
+    assert result["tasks"] == 8
+    assert result["draws_per_task"] == [1] * 8
     assert result["problems"] == []
