@@ -75,7 +75,10 @@ class MultiLabelDataset:
             raise ValueError("label names must be unique")
         if len(self.feature_kinds) != feats.shape[1]:
             raise ValueError("feature_kinds length must equal feature column count")
-        # Shared read-only across concurrent training tasks.
+        # Shared read-only across concurrent training tasks. The views keep
+        # the caller's own arrays writable.
+        feats = feats.view()
+        labs = labs.view()
         feats.setflags(write=False)
         labs.setflags(write=False)
         object.__setattr__(self, "features", feats)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -125,11 +125,10 @@ def run_cv(config: ExperimentConfig) -> dict:
         )
         for fold_idx in range(config.folds):
             test_rows = folds[fold_idx]
-            train_rows = np.concatenate(
-                [folds[i] for i in range(config.folds) if i != fold_idx]
+            train_rows = np.sort(
+                np.concatenate([folds[i] for i in range(config.folds) if i != fold_idx])
             )
-            train_ds = ds.take_rows(np.sort(train_rows))
-            test_ds = ds.take_rows(test_rows)
+            train_ds = ds.take_rows(train_rows)
             for method_idx, method in enumerate(config.methods):
                 seed = derive_seed(
                     config.seed, _METHOD_SEED, repeat, fold_idx, method_idx
@@ -138,13 +137,13 @@ def run_cv(config: ExperimentConfig) -> dict:
                 started = time.perf_counter()
                 model = train_ensemble(train_ds, spec, n_jobs=config.n_jobs)
                 elapsed = time.perf_counter() - started
-                train_scores = predict_relevance_batch(model, train_ds.features)
-                test_scores = predict_relevance_batch(model, test_ds.features)
+                # Trees predict row by row, so one call scores both halves.
+                scores = predict_relevance_batch(model, ds.features)
                 report = build_report(
-                    train_scores,
+                    scores[train_rows],
                     train_ds.labels,
-                    test_scores,
-                    test_ds.labels,
+                    scores[test_rows],
+                    ds.labels[test_rows],
                     skipped_label_count=len(model.skipped_labels),
                 )
                 method_records[method]["folds"].append(
@@ -152,7 +151,7 @@ def run_cv(config: ExperimentConfig) -> dict:
                         "repeat": repeat,
                         "fold": fold_idx,
                         "train_rows": int(train_ds.n),
-                        "test_rows": int(test_ds.n),
+                        "test_rows": len(test_rows),
                         "instance_budget": instance_budget(train_ds, model),
                         "classifier_counts": model.vote_counts.tolist(),
                         "report": report,
@@ -180,24 +179,18 @@ def run_cv(config: ExperimentConfig) -> dict:
             ),
         }
 
+    # The echo leaves out n_jobs and out_dir, which do not change the results,
+    # and holds what json.loads would give back.
+    echo = asdict(config) | {
+        "arff": str(config.arff_path),
+        "xml": str(config.xml_path),
+        "methods": list(config.methods),
+    }
+    for name in ("arff_path", "xml_path", "out_dir", "n_jobs"):
+        del echo[name]
     payload = {
         "schema": RESULTS_SCHEMA,
-        "config": {
-            "arff": str(config.arff_path),
-            "xml": str(config.xml_path),
-            "methods": list(config.methods),
-            "c": config.c,
-            "theta_max": config.theta_max,
-            "theta_min": config.theta_min,
-            "tree": {
-                "max_depth": config.tree.max_depth,
-                "min_samples_leaf": config.tree.min_samples_leaf,
-            },
-            "repeats": config.repeats,
-            "folds": config.folds,
-            "feature_keep_fraction": config.feature_keep_fraction,
-            "seed": config.seed,
-        },
+        "config": echo,
         "dataset": {"n": ds.n, "d": ds.d, "q": ds.q, "relation": ds.relation},
         "methods": methods_payload,
     }

@@ -124,6 +124,7 @@ def fit_tree(
     def splittable(pos: int, m: int, depth: int) -> bool:
         return (
             0 < pos < m
+            and d > 0
             and (max_depth is None or depth < max_depth)
             and m >= 2 * min_leaf
         )

@@ -17,13 +17,15 @@ import numpy as np
 from .errors import LengthMismatch
 
 THRESHOLD_GRID: tuple[float, ...] = tuple(i / 20 for i in range(21))
+_GRID = np.array(THRESHOLD_GRID)
 
 F_MEASURE = "F"
 G_MEAN = "G"
 BALANCED_ACCURACY = "B"
 POINT_METRICS = (F_MEASURE, G_MEAN, BALANCED_ACCURACY)
 
-# Report keys for the five metrics, in presentation order.
+# Report keys for the five metrics, in presentation order; the first three
+# are the keys of POINT_METRICS, in order.
 METRIC_KEYS = ("f_measure", "g_mean", "balanced_accuracy", "auc_roc", "auc_pr")
 
 IMR_BUCKETS: tuple[tuple[float, float], ...] = (
@@ -83,12 +85,27 @@ def point_metric(conf: BinaryConfusion, kind: str) -> float | None:
     return (tpr + tnr) / 2
 
 
+def _binary_truth(truth: np.ndarray) -> np.ndarray:
+    """truth as int8, checked before the cast, which would turn 0.5 and 256
+    into 0."""
+    truth = np.asarray(truth)
+    if not ((truth == 0) | (truth == 1)).all():
+        raise ValueError("truth must contain only 0/1 values")
+    return truth.astype(np.int8)
+
+
 def _check_pair(scores: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64).ravel()
-    truth = np.asarray(truth).astype(np.int8).ravel()
+    truth = _binary_truth(truth).ravel()
     if scores.shape[0] != truth.shape[0]:
         raise LengthMismatch("scores and truth differ in length")
     return scores, truth
+
+
+def _midranks(counts: np.ndarray) -> np.ndarray:
+    """Ranks of ascending groups of tied values, given each group's size:
+    a group gets the mean of the 1-based positions it spans."""
+    return np.cumsum(counts) - counts + 1 + (counts - 1) / 2.0
 
 
 def auc_roc(scores: np.ndarray, truth: np.ndarray) -> float | None:
@@ -103,10 +120,7 @@ def auc_roc(scores: np.ndarray, truth: np.ndarray) -> float | None:
     if pos == 0 or neg == 0:
         return None
     _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    starts = np.cumsum(counts) - counts + 1
-    avg_ranks = starts + (counts - 1) / 2.0
-    ranks = avg_ranks[inverse]
-    rank_sum = float(ranks[truth == 1].sum())
+    rank_sum = float(_midranks(counts)[inverse][truth == 1].sum())
     u = rank_sum - pos * (pos + 1) / 2.0
     return u / (pos * neg)
 
@@ -148,17 +162,22 @@ def select_threshold(
 
     Prediction rule is score >= t. Falls back to 0.5 (flagged) when the
     training column has no positives, or when the objective is undefined at
-    every grid point.
+    every grid point. One comparison counts the predicted positives and true
+    positives at every grid point (the one-pass count of Fawcett 2006).
     """
     _check_objective(objective)
     scores, truth = _check_pair(train_scores, train_truth)
-    if int(truth.sum()) == 0:
+    pos = int(truth.sum())
+    if pos == 0:
         return ThresholdChoice(threshold=0.5, value=None, fallback=True)
+    predicted = scores >= _GRID[:, None]
+    tps = np.count_nonzero(predicted & (truth == 1), axis=1)
+    fps = np.count_nonzero(predicted, axis=1) - tps
+    neg = truth.shape[0] - pos
     best_t: float | None = None
     best_v = -1.0
-    for t in THRESHOLD_GRID:
-        conf = BinaryConfusion.from_predictions(truth, scores >= t)
-        value = point_metric(conf, objective)
+    for t, tp, fp in zip(THRESHOLD_GRID, tps.tolist(), fps.tolist()):
+        value = point_metric(BinaryConfusion(tp, fp, neg - fp, pos - tp), objective)
         if value is not None and value > best_v:
             best_t, best_v = t, value
     if best_t is None:
@@ -182,22 +201,11 @@ def average_ranks(results: np.ndarray, higher_is_better: bool = True) -> np.ndar
         raise ValueError("results must be a methods x datasets matrix")
     if np.isnan(results).any():
         raise ValueError("results must not contain missing cells")
-    n_methods, n_datasets = results.shape
-    ranks = np.empty_like(results)
-    for col in range(n_datasets):
-        values = results[:, col]
-        key = -values if higher_is_better else values
-        order = np.argsort(key, kind="mergesort")
-        sorted_key = key[order]
-        col_ranks = np.empty(n_methods, dtype=np.float64)
-        i = 0
-        while i < n_methods:
-            j = i
-            while j + 1 < n_methods and sorted_key[j + 1] == sorted_key[i]:
-                j += 1
-            col_ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-            i = j + 1
-        ranks[:, col] = col_ranks
+    keys = -results if higher_is_better else results
+    ranks = np.empty_like(keys)
+    for col, key in enumerate(keys.T):
+        _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
+        ranks[:, col] = _midranks(counts)[inverse]
     return ranks.mean(axis=1)
 
 
@@ -255,8 +263,8 @@ def build_report(
     """
     train_scores = np.asarray(train_scores, dtype=np.float64)
     test_scores = np.asarray(test_scores, dtype=np.float64)
-    train_truth = np.asarray(train_truth, dtype=np.int8)
-    test_truth = np.asarray(test_truth, dtype=np.int8)
+    train_truth = _binary_truth(train_truth)
+    test_truth = _binary_truth(test_truth)
     if train_scores.shape != train_truth.shape or test_scores.shape != test_truth.shape:
         raise LengthMismatch("scores and truth matrices differ in shape")
     if train_scores.shape[1] != test_scores.shape[1]:
@@ -266,25 +274,16 @@ def build_report(
     for j in range(train_scores.shape[1]):
         tr_s, tr_t = train_scores[:, j], train_truth[:, j]
         te_s, te_t = test_scores[:, j], test_truth[:, j]
-        choices = {kind: select_threshold(tr_s, tr_t, kind) for kind in POINT_METRICS}
-        point_values = {}
-        for kind in POINT_METRICS:
-            conf = BinaryConfusion.from_predictions(te_t, te_s >= choices[kind].threshold)
-            point_values[kind] = point_metric(conf, kind)
-        rows.append(
-            {
-                "label_index": j,
-                "f_measure": point_values[F_MEASURE],
-                "g_mean": point_values[G_MEAN],
-                "balanced_accuracy": point_values[BALANCED_ACCURACY],
-                "auc_roc": auc_roc(te_s, te_t),
-                "auc_pr": auc_pr(te_s, te_t),
-                "threshold_f": choices[F_MEASURE].threshold,
-                "threshold_g": choices[G_MEAN].threshold,
-                "threshold_b": choices[BALANCED_ACCURACY].threshold,
-                "threshold_fallback": any(c.fallback for c in choices.values()),
-            }
-        )
+        row = {"label_index": j, "threshold_fallback": False}
+        for kind, key in zip(POINT_METRICS, METRIC_KEYS):
+            choice = select_threshold(tr_s, tr_t, kind)
+            conf = BinaryConfusion.from_predictions(te_t, te_s >= choice.threshold)
+            row[key] = point_metric(conf, kind)
+            row[f"threshold_{kind.lower()}"] = choice.threshold
+            row["threshold_fallback"] |= choice.fallback
+        row["auc_roc"] = auc_roc(te_s, te_t)
+        row["auc_pr"] = auc_pr(te_s, te_t)
+        rows.append(row)
 
     return {
         "macro": {key: mean_defined([row[key] for row in rows]) for key in METRIC_KEYS},

@@ -323,6 +323,24 @@ def test_cv_accepts_nominal_features(runner, tmp_path):
     assert (tmp_path / "out" / "cv_results.json").exists()
 
 
+def test_cv_label_only_arff_trains(runner, tmp_path):
+    from chainbalance.dataset import MultiLabelDataset
+
+    gen = np.random.default_rng(3)
+    ds = MultiLabelDataset(
+        features=np.empty((24, 0)),
+        labels=(gen.random((24, 2)) < 0.4).astype(np.int8),
+        label_names=("A", "B"),
+        feature_kinds=(),
+        relation="labels_only",
+    )
+    arff, xml = write_dataset_files(ds, tmp_path)
+    result = _run_cv(runner, arff, xml, tmp_path / "out")
+    assert result.exit_code == 0, result.output
+    payload = json.loads((tmp_path / "out" / "cv_results.json").read_text())
+    assert payload["dataset"]["d"] == 0
+
+
 def test_cv_non_finite_feature_exits_3(runner, dataset_files, tmp_path):
     arff, xml = dataset_files
     lines = Path(arff).read_text().splitlines()

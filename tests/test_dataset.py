@@ -394,6 +394,14 @@ def test_dataset_invariant_enforcement():
             label_names=("A", "A"),
             feature_kinds=(Attribute("x"),),
         )
+    # The dataset's arrays are read-only; the caller's stay writable, even
+    # when no copy was needed.
+    X = np.zeros((2, 1))
+    labs = np.array([[1], [0]], dtype=np.int8)
+    ds = MultiLabelDataset(X, labs, ("A",), (Attribute("x"),))
+    assert X.flags.writeable and labs.flags.writeable
+    assert not ds.features.flags.writeable and not ds.labels.flags.writeable
+    assert ds.labels is not labs and ds.features is not X
 
 
 # to_arff_text refuses an empty name, a name with blanks around it or with

@@ -321,6 +321,23 @@ def test_round_with_no_labels_left_trains_nothing():
     assert model.vote_counts.tolist() == [4, 3]
 
 
+def test_every_method_trains_without_features():
+    # Only a chain's later links have features (the earlier labels); the
+    # base trees are single leaves.
+    gen = np.random.default_rng(2)
+    ds = MultiLabelDataset(
+        features=np.empty((30, 0)),
+        labels=(gen.random((30, 2)) < [0.3, 0.5]).astype(np.int8),
+        label_names=("A", "B"),
+        feature_kinds=(),
+    )
+    for method in METHODS:
+        model = train_ensemble(ds, EnsembleSpec(method=method, c=3, seed=0))
+        scores = predict_relevance_batch(model, ds.features)
+        assert scores.shape == (30, 2), method
+        assert ((scores >= 0.0) & (scores <= 1.0)).all(), method
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(st.integers(1, 3), min_size=1, max_size=20),

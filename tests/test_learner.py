@@ -39,6 +39,15 @@ def test_pure_input_single_leaf():
     assert _predict_row(model, [-5.0]) == 1
 
 
+def test_no_features_single_leaf():
+    # Without features there is no candidate split: one leaf, the majority.
+    bd = BinaryDataset(np.empty((5, 0)), np.array([1, 0, 1, 1, 0], dtype=np.int8))
+    model = fit_tree(bd, UNLIMITED)
+    assert model.node_count == 1 and model.depth == 0
+    assert model.n_features == 0
+    assert predict_batch(model, np.empty((3, 0))).tolist() == [1, 1, 1]
+
+
 def test_depth_one_split():
     model = fit_tree(_bd([0, 1, 2, 3], [0, 0, 1, 1]), TreeSpec())
     assert model.depth == 1

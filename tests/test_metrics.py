@@ -103,6 +103,10 @@ def test_auc_roc_examples():
     assert auc_roc([0.1, 0.2], [1, 1]) is None
     with pytest.raises(LengthMismatch):
         auc_roc([0.1, 0.2], [1])
+    # Truth other than 0/1 is refused, not cast: 0.5 would read as 0.
+    for truth in ([2, 0, 0], [0.5, 1, 0], [1, 0, -1]):
+        with pytest.raises(ValueError, match="0/1"):
+            auc_roc([0.9, 0.1, 0.5], truth)
 
 
 def test_auc_roc_matches_pair_counting():
@@ -148,6 +152,9 @@ def test_auc_pr_examples():
     assert auc_pr([0.9, 0.1], [0, 0]) is None
     with pytest.raises(LengthMismatch):
         auc_pr([0.1], [1, 0])
+    for truth in ([2, 0], [0.5, 1], [256, 0]):
+        with pytest.raises(ValueError, match="0/1"):
+            auc_pr([0.9, 0.1], truth)
 
 
 def test_auc_pr_perfect_ranking_any_prevalence():
@@ -212,6 +219,12 @@ def test_threshold_policy_validation():
     # Only the canonical names are accepted.
     with pytest.raises(ValueError):
         point_metric(conf, "f")
+    # Truth other than 0/1 is refused for every objective, before the
+    # no-positives early return too (0.5 and 256 would cast to 0).
+    for truth in ([0, 2], [0, 0.5], [0, 256]):
+        for kind in ("F", "G", "B"):
+            with pytest.raises(ValueError, match="0/1"):
+                select_threshold([0.2, 0.8], truth, kind)
 
 
 def test_macro_average():
@@ -233,6 +246,40 @@ def test_average_ranks_examples():
 def test_average_ranks_lower_is_better():
     times = np.array([[1.0, 2.0], [3.0, 1.0]])
     assert average_ranks(times, higher_is_better=False).tolist() == [1.5, 1.5]
+
+
+def brute_force_ranks(results, higher_is_better):
+    """Rank oracle: 1 + the methods strictly better + half the others tied."""
+    n_methods, n_datasets = results.shape
+    ranks = np.zeros((n_methods, n_datasets))
+    for col in range(n_datasets):
+        for i in range(n_methods):
+            mine = results[i, col]
+            others = [results[k, col] for k in range(n_methods) if k != i]
+            better = sum((o > mine) if higher_is_better else (o < mine) for o in others)
+            tied = sum(o == mine for o in others)
+            ranks[i, col] = 1.0 + better + 0.5 * tied
+    return ranks.mean(axis=1)
+
+
+# Few distinct small values make ties common; 0.0 and -0.0 tie.
+_RANK_CELL = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda m: st.lists(
+            st.lists(_RANK_CELL, min_size=m, max_size=m), min_size=1, max_size=4
+        )
+    ),
+    st.booleans(),
+)
+def test_average_ranks_match_pair_counting(columns, higher_is_better):
+    results = np.array(columns).T
+    assert average_ranks(results, higher_is_better).tolist() == (
+        brute_force_ranks(results, higher_is_better).tolist()
+    )
 
 
 def test_imr_buckets():
@@ -270,6 +317,16 @@ def test_build_report_shapes_and_macro():
         assert row["threshold_f"] in THRESHOLD_GRID
         assert row["threshold_g"] in THRESHOLD_GRID
         assert row["threshold_b"] in THRESHOLD_GRID
+    # A test truth of 256 would read as 0 after an int8 cast; 2 in the
+    # training truth would count as a positive.
+    bad_test = test_truth.copy()
+    bad_test[0, 0] = 256
+    with pytest.raises(ValueError, match="0/1"):
+        build_report(train_scores, train_truth, test_scores, bad_test)
+    bad_train = train_truth.copy()
+    bad_train[0, 0] = 2
+    with pytest.raises(ValueError, match="0/1"):
+        build_report(train_scores, bad_train, test_scores, test_truth)
 
 
 def test_report_flat_csv_rows(tmp_path):

@@ -53,6 +53,7 @@ print(json.dumps({"tasks": len(tasks),
 CV_SCRIPT = """
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 import chainbalance.experiment as experiment
 from conftest import make_dataset, write_dataset_files
@@ -65,7 +66,7 @@ rec.install()
 experiment.run_cv(experiment.ExperimentConfig(
     arff_path=Path(arff), xml_path=Path(xml), out_dir=work / "out",
     methods=("BR", "ECCRU"), c=2, repeats=1, folds=2, seed=1))
-print(json.dumps({"names": sorted({s.name for s in rec.spans}),
+print(json.dumps({"spans": Counter(s.name for s in rec.spans),
                   "counts": dict(rec.counts),
                   "problems": check_spans(rec.spans)}))
 """
@@ -102,9 +103,13 @@ def test_tracer_hooks_record_evaluation(tmp_path):
         "ensemble.train",
         "ensemble.predict",
         "metrics.report",
-    } <= set(result["names"])
-    assert result["counts"].get("metrics.threshold_scans", 0) > 0
-    assert result["counts"].get("metrics.confusions", 0) > 0
+    } <= set(result["spans"])
+    # 2 folds x 2 methods: each cell is scored in one call, and each of its
+    # 2 labels x 3 objectives is one threshold scan and one test confusion.
+    assert result["spans"]["ensemble.predict"] == 4
+    assert result["spans"]["metrics.report"] == 4
+    assert result["counts"]["metrics.threshold_scans"] == 24
+    assert result["counts"]["metrics.confusions"] == 24
     assert result["problems"] == []
 
 
