@@ -16,15 +16,7 @@ import numpy as np
 
 from .dataset import MultiLabelDataset
 from .errors import ArityMismatch, SingleClassLabel
-from .learner import (
-    BinaryModel,
-    TreeSpec,
-    append_order,
-    fit_tree,
-    predict_batch,
-    sort_order,
-    tree_to_dict,
-)
+from .learner import BinaryModel, TreeSpec, fit_tree, predict_batch, tree_to_dict
 from .sampling import BinaryDataset, RngStream, random_undersample
 
 
@@ -78,6 +70,15 @@ def _check_chain(ds: MultiLabelDataset, chain: ChainSpec) -> None:
         raise ValueError("chain references a label outside the dataset")
 
 
+def _with_chain_columns(base: np.ndarray, links: int) -> np.ndarray:
+    """One buffer for a whole chain: base followed by a column for each link
+    but the last. Link j reads the prefix of the first d + j columns and
+    writes its output into column d + j."""
+    if links <= 1:
+        return base
+    return np.hstack([base, np.empty((base.shape[0], links - 1), dtype=base.dtype)])
+
+
 def _train_chain(
     ds: MultiLabelDataset,
     chain: ChainSpec,
@@ -86,34 +87,33 @@ def _train_chain(
 ) -> ChainModel:
     """The link loop of both chain kinds; rng=None trains a plain chain.
 
-    A plain chain sorts the base features once and extends that order by one
-    0/1 column per link. A balanced link fits on its own kept rows, which
-    fit_tree sorts.
+    The chain's features and rank codes each get one buffer. A 0/1 column
+    is its own rank code, so each link's output extends both the same way.
     """
     _check_chain(ds, chain)
     links = []
     counts = []
-    X_aug = ds.features
-    order = sort_order(X_aug) if rng is None else None
+    features = _with_chain_columns(ds.features, len(chain))
+    ranks = _with_chain_columns(ds.ranks, len(chain))
     for offset, label in enumerate(chain.sequence):
+        width = ds.d + offset
         targets = ds.labels[:, label]
-        if rng is None:
-            bd = BinaryDataset(X_aug, targets)
-        else:
+        X, R, y = features[:, :width], ranks[:, :width], targets
+        if rng is not None:
             if not targets.any() or targets.all():
                 raise SingleClassLabel(
                     f"label {label} is single-class in this training set"
                 )
             kept = random_undersample(targets, rng.child(offset))
-            bd = BinaryDataset(X_aug[kept], targets[kept])
-        model = fit_tree(bd, spec, order)
+            X, R, y = X[kept], R[kept], y[kept]
+        bd = BinaryDataset(X, y)
+        model = fit_tree(bd, spec, R)
         links.append((label, model))
         counts.append((bd.positive_count, bd.negative_count))
         if offset < len(chain) - 1:
-            column = targets if rng is None else predict_batch(model, X_aug)
-            X_aug = np.hstack([X_aug, column.astype(np.float64)[:, None]])
-            if order is not None:
-                order = append_order(order, column)
+            column = targets if rng is None else predict_batch(model, features[:, :width])
+            features[:, width] = column
+            ranks[:, width] = column
     return ChainModel(
         links=tuple(links),
         base_arity=ds.d,
@@ -149,12 +149,13 @@ def predict_chain_batch(model: ChainModel, X: np.ndarray) -> list[tuple[int, np.
             f"expected {model.base_arity} features, got shape {X.shape}"
         )
     votes = []
-    X_aug = X
+    features = _with_chain_columns(X, len(model.links))
     for offset, (label, link) in enumerate(model.links):
-        preds = predict_batch(link, X_aug)
+        width = model.base_arity + offset
+        preds = predict_batch(link, features[:, :width])
         votes.append((label, preds))
         if offset < len(model.links) - 1:
-            X_aug = np.hstack([X_aug, preds.astype(np.float64)[:, None]])
+            features[:, width] = preds
     return votes
 
 

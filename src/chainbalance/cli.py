@@ -44,7 +44,8 @@ def _guard(fn, *args, **kwargs):
         _fail(CONFIG_EXIT, exc)
     except DataError as exc:
         _fail(DATA_EXIT, exc)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (FileExistsError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:
         _fail(DATA_EXIT, exc)
     except ChainbalanceError as exc:
         _fail(DATA_EXIT, exc)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, TextIO
 
@@ -47,6 +48,7 @@ class MultiLabelDataset:
     features: (n, d) float64 matrix; nominal attributes hold category codes.
     labels:   (n, q) int8 matrix restricted to {0, 1}.
     label_names and feature_kinds preserve declaration order.
+    ranks:    rank_codes(features), computed on first use and then cached.
     """
 
     features: np.ndarray
@@ -98,9 +100,46 @@ class MultiLabelDataset:
     def q(self) -> int:
         return self.labels.shape[1]
 
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        codes = rank_codes(self.features)
+        codes.setflags(write=False)
+        return codes
+
     def take_rows(self, indices: np.ndarray) -> "MultiLabelDataset":
-        """New dataset holding the given rows (indices may repeat)."""
-        return replace(self, features=self.features[indices], labels=self.labels[indices])
+        """New dataset holding the given rows (indices may repeat).
+
+        Codes already ranked here are gathered, not ranked again: rows taken
+        from a superset still compare like their values.
+        """
+        taken = replace(self, features=self.features[indices], labels=self.labels[indices])
+        if "ranks" in self.__dict__:
+            codes = self.ranks[indices]
+            codes.setflags(write=False)
+            object.__setattr__(taken, "ranks", codes)
+        return taken
+
+
+def rank_codes(X: np.ndarray) -> np.ndarray:
+    """Per-column dense ranks of X: codes[i, f] counts the distinct values of
+    column f below X[i, f].
+
+    Equal codes mean equal values, and codes order like the values, so a
+    stable argsort of a column's codes equals one of its values. The dtype is
+    uint16 up to 65,536 rows, whose stable sort numpy runs as a radix sort,
+    and uint32 above.
+    """
+    n, d = X.shape
+    dtype = np.uint16 if n <= 1 << 16 else np.uint32
+    columns = np.ascontiguousarray(X.T)
+    # Where each column's sorted list sits in the flattened (d, n) layout.
+    flat = columns.argsort(axis=1) + np.arange(0, d * n, n)[:, None]
+    ordered = columns.take(flat)
+    dense = np.zeros((d, n), dtype=dtype)
+    np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, dtype=dtype, out=dense[:, 1:])
+    codes = np.empty((d, n), dtype=dtype)
+    codes.ravel()[flat.ravel()] = dense.ravel()
+    return np.ascontiguousarray(codes.T)
 
 
 @dataclass(frozen=True)

@@ -222,14 +222,14 @@ def _single_link(
     ds: MultiLabelDataset, label: int, tree: TreeSpec, stream: RngStream | None
 ) -> ChainModel:
     """A one-link chain; with a stream, the link fits on a balanced subset."""
-    X = ds.features
+    X, R = ds.features, ds.ranks
     targets = ds.labels[:, label]
     if stream is not None:
         kept = random_undersample(targets, stream)
-        X, targets = X[kept], targets[kept]
+        X, R, targets = X[kept], R[kept], targets[kept]
     bd = BinaryDataset(X, targets)
     return ChainModel(
-        links=((label, fit_tree(bd, tree)),),
+        links=((label, fit_tree(bd, tree, R)),),
         base_arity=ds.d,
         fit_class_counts=((bd.positive_count, bd.negative_count),),
     )
@@ -320,6 +320,9 @@ def train_ensemble(
         # Partial chains need at least two labels per round; with fewer, the
         # budgeted methods fall back to c uniform rounds.
         rounds = [tuple(eligible)] * spec.c
+    # Rank the features before the rounds: the threads share these codes,
+    # and every bootstrap and balanced subset gathers them instead of sorting.
+    ds.ranks
     root = RngStream(spec.seed)
     tasks = [
         partial(_train_round, ds, labels, root.child(i), method, spec.tree)

@@ -24,7 +24,7 @@ from .ensemble import (
     predict_relevance_batch,
     train_ensemble,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .learner import TreeSpec
 from .metrics import METRIC_KEYS, build_report, mean_defined
 from .sampling import RngStream, derive_seed, iterative_stratified_kfold
@@ -108,8 +108,11 @@ def run_cv(config: ExperimentConfig) -> dict:
     """Run the experiment and write result files into config.out_dir.
 
     Writes cv_results.json (deterministic), per_label.csv, and timings.json.
-    Returns the cv_results payload.
+    Returns the cv_results payload. The directory is made first, so a path
+    that cannot hold it fails before any training.
     """
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     ds = load_mulan_files(config.arff_path, config.xml_path)
     if config.feature_keep_fraction is not None:
         ds = reduce_features_by_frequency(ds, config.feature_keep_fraction)
@@ -195,8 +198,6 @@ def run_cv(config: ExperimentConfig) -> dict:
         "methods": methods_payload,
     }
 
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "cv_results.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
@@ -246,22 +247,29 @@ def collect_rank_matrix(
     names = []
     columns = []
     for path in result_paths:
-        payload = json.loads(Path(path).read_text())
-        if payload.get("schema") != RESULTS_SCHEMA:
+        try:
+            payload = json.loads(Path(path).read_text())
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise DataError(f"{path}: not a JSON results file: {exc}") from exc
+        if not isinstance(payload, dict) or payload.get("schema") != RESULTS_SCHEMA:
             raise ConfigError(f"{path}: unsupported results schema")
-        file_methods = sorted(payload["methods"].keys())
+        try:
+            file_methods = sorted(payload["methods"].keys())
+            name = payload["dataset"].get("relation")
+            values = [payload["methods"][m]["overall"]["macro"][metric] for m in file_methods]
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise DataError(f"{path}: malformed results file: {exc!r}") from exc
         if methods is None:
             methods = file_methods
         elif methods != file_methods:
             raise ConfigError(f"{path}: method set differs from earlier files")
-        names.append(payload["dataset"].get("relation") or Path(path).stem)
-        column = []
-        for m in methods:
-            value = payload["methods"][m]["overall"]["macro"][metric]
+        names.append(name or Path(path).stem)
+        for m, value in zip(methods, values):
             if value is None:
                 raise ConfigError(f"{path}: macro {metric} undefined for {m}")
-            column.append(value)
-        columns.append(column)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise DataError(f"{path}: macro {metric} for {m} is not a number: {value!r}")
+        columns.append(values)
     assert methods is not None
     matrix = np.array(columns, dtype=np.float64).T
     if len(methods) < 2:

@@ -11,13 +11,14 @@ feature index and then the lowest threshold, so row order never affects the
 result.
 
 The search works on presorted feature-major lists, as in SLIQ and SPRINT
-(Mehta et al. 1996; Shafer et al. 1996). An order is a (d, n) int32 array
-whose row f lists the row ids stably sorted by feature f. fit_tree sorts
-once per fit unless given an order. A plain chain sorts its base features
-once and derives each link's order with append_order; a balanced link fits
-on its own few rows and is sorted there. Every node carries its rows' ids,
-values and targets in that layout, and a split partitions them stably, so
-no node sorts again.
+(Mehta et al. 1996; Shafer et al. 1996), of integer rank codes
+(dataset.rank_codes) instead of values. Codes order like the values and are
+equal exactly where the values are, so sorting codes gives the same lists,
+ties included. A dataset ranks its features once and its subsets gather
+those codes, so a fit sorts 16-bit codes, which numpy radix-sorts, instead
+of doubles. Every node carries its rows' ids, codes and targets in that
+layout, and a split partitions them stably, so no node sorts again. Values
+are read only at the chosen split, for its threshold.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import rank_codes
 from .errors import ArityMismatch, ConfigError
 from .sampling import BinaryDataset
 
@@ -67,39 +69,28 @@ class BinaryModel:
         return self.feature.shape[0]
 
 
-def sort_order(X: np.ndarray) -> np.ndarray:
-    """The presorted lists of X: a (d, n) int32 array whose row f holds the
-    row ids of X sorted stably by feature f."""
-    return np.argsort(X.T, axis=1, kind="stable").astype(np.int32)
-
-
-def append_order(order: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """The order of X with a 0/1 column appended: its list is the zero rows,
-    then the one rows, each in row order, as a stable argsort gives."""
-    zeros_then_ones = np.concatenate([np.flatnonzero(column == 0), np.flatnonzero(column)])
-    return np.vstack([order, zeros_then_ones.astype(np.int32)[None, :]])
-
-
 def fit_tree(
-    bd: BinaryDataset, spec: TreeSpec, order: np.ndarray | None = None
+    bd: BinaryDataset, spec: TreeSpec, ranks: np.ndarray | None = None
 ) -> BinaryModel:
     """Grow a tree on a binary dataset.
 
-    order must equal sort_order(bd.features) and is computed here when not
-    given. Each node carries (d, m) arrays of its row ids, values and
-    targets, row f sorted by feature f. The search scans the prefix sums of
-    positives along every row at once; a split partitions the three arrays
-    stably, so the children need no sort and no gather from the full matrix.
+    ranks is an (n, d) integer matrix whose columns order like those of
+    bd.features and are equal where they are, such as rank_codes of these
+    rows or of any superset; it is computed here when not given. Each node
+    carries (d, m) arrays of its row ids, codes and targets, row f sorted by
+    feature f. The search scans the prefix sums of positives along every row
+    at once; a split partitions the three arrays stably, so the children
+    need no sort and no gather from the full matrix.
     """
     if bd.n == 0:
         raise ValueError("cannot fit a tree on an empty dataset")
     X = bd.features
     y = bd.targets
     n, d = X.shape
-    if order is None:
-        order = sort_order(X)
-    elif order.shape != (d, n):
-        raise ValueError(f"order has shape {order.shape}, expected {(d, n)}")
+    if ranks is None:
+        ranks = rank_codes(X)
+    elif ranks.shape != (n, d):
+        raise ValueError(f"ranks has shape {ranks.shape}, expected {(n, d)}")
     min_leaf = spec.min_samples_leaf
     max_depth = spec.max_depth
 
@@ -146,7 +137,11 @@ def fit_tree(
     root = new_node(pos, n)
     lists = None
     if splittable(pos, n, 0):
-        lists = (order, np.take_along_axis(X.T, order, axis=1), y.take(order))
+        columns = np.ascontiguousarray(ranks.T)
+        order = columns.argsort(axis=1, kind="stable")
+        sorted_codes = columns.take(order + np.arange(0, d * n, n)[:, None])
+        ids = order.astype(np.int32)
+        lists = (ids, sorted_codes, y.take(ids))
     # Explicit stack: unlimited-depth trees can exceed the recursion limit.
     # A node pushed without lists is a leaf.
     stack = [(root, lists, 0, pos)]
@@ -155,7 +150,7 @@ def fit_tree(
         max_depth_seen = max(max_depth_seen, depth)
         if lists is None:
             continue
-        ids, vals, tgt = lists
+        ids, codes, tgt = lists
         m = ids.shape[1]
         lo, hi = min_leaf - 1, m - min_leaf
         k = hi - lo
@@ -177,11 +172,11 @@ def fit_tree(
         np.multiply(other, tmp, out=other)
         np.add(gini, other, out=gini)
         np.divide(gini, m, out=gini)
-        # A split between equal values is not a candidate: add 1 there, above
+        # A split between equal codes is not a candidate: add 1 there, above
         # any weighted Gini (at most 0.5), leaving the others exact. Comparing
         # the flattened lists is one contiguous pass; the pairs that straddle
         # two features' lists fall outside the candidate columns.
-        flat = vals.ravel()
+        flat = codes.ravel()
         np.equal(flat[:-1], flat[1:], out=tie_buf[: d * m - 1])
         np.add(gini, tie_buf[: d * m].reshape(d, m)[:, lo:hi], out=gini)
         # C-order argmin: lowest feature first, then lowest position.
@@ -190,16 +185,19 @@ def fit_tree(
             continue
         feat, at = divmod(best, k)
         at += lo
-        thr = float((vals[feat, at] + vals[feat, at + 1]) / 2.0)
-        if thr == vals[feat, at + 1]:
+        # The codes differ across the boundary, so the values do: low < high.
+        low = float(X[ids[feat, at], feat])
+        high = float(X[ids[feat, at + 1], feat])
+        thr = (low + high) / 2.0
+        if not low <= thr < high:
             # Adjacent doubles can round the midpoint up to the right value,
-            # which would desynchronize the <= partition from the evaluated
-            # boundary; clamp to the left value instead.
-            thr = float(vals[feat, at])
-        # The left child is the prefix of feature feat's list at or below thr.
-        left_n = int(np.count_nonzero(vals[feat] <= thr))
+            # and huge ones overflow it, which would desynchronize the <=
+            # partition from the evaluated boundary; clamp to the left value.
+            thr = low
+        # The left child is the prefix of feature feat's list up to the boundary.
+        left_n = at + 1
         right_n = m - left_n
-        lpos = int(cum[feat, left_n - 1]) if left_n else 0
+        lpos = int(cum[feat, at])
         rpos = pos - lpos
         feature[node] = feat
         threshold[node] = thr

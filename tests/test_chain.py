@@ -173,13 +173,14 @@ def test_chain_links_fit_on_presorted_orders(method, monkeypatch):
     real_fit = chain_module.fit_tree
     fitted = []
 
-    def checked_fit(bd, spec, order=None):
-        if method == "ECCRU":
-            # A balanced link sorts its own rows.
-            assert order is None
-        else:
-            assert np.array_equal(order, np.argsort(bd.features, axis=0, kind="stable").T)
-        model = real_fit(bd, spec, order)
+    def checked_fit(bd, spec, ranks=None):
+        # Every link's codes, the chain columns too, order like its features.
+        assert ranks is not None
+        stable = np.argsort(bd.features, axis=0, kind="stable")
+        assert np.array_equal(np.argsort(ranks, axis=0, kind="stable"), stable)
+        for codes, values in zip(ranks.T, bd.features.T):
+            assert np.array_equal(codes[:, None] == codes, values[:, None] == values)
+        model = real_fit(bd, spec, ranks)
         assert tree_to_dict(model) == tree_to_dict(real_fit(bd, spec))
         fitted.append(bd.n)
         return model
@@ -189,3 +190,19 @@ def test_chain_links_fit_on_presorted_orders(method, monkeypatch):
     assert len(fitted) == 3 * ds.q
     if method == "ECCRU":
         assert min(fitted) < ds.n
+
+
+def test_predict_chain_batch_matches_hstack_reference():
+    ds = make_dataset(120, [0.5, 0.3, 0.2, 0.1], noise_features=3, seed=6)
+    model = train_ensemble(ds, EnsembleSpec(method="ECCRU", c=3, seed=4))
+    X = make_dataset(50, [0.5, 0.3, 0.2, 0.1], noise_features=3, seed=7).features
+    for chain in model.chains:
+        expected = []
+        augmented = X
+        for label, link in chain.links:
+            preds = predict_batch(link, augmented)
+            expected.append((label, preds.tolist()))
+            augmented = np.hstack([augmented, preds.astype(np.float64)[:, None]])
+        got = [(label, preds.tolist()) for label, preds in predict_chain_batch(chain, X)]
+        assert got == expected
+    assert max(len(chain.links) for chain in model.chains) == ds.q

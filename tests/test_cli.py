@@ -379,3 +379,44 @@ def test_rank_over_two_datasets(runner, tmp_path):
 def test_rank_no_inputs_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["rank", "--input-dir", str(tmp_path)])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "out_dir, error",
+    [("taken", "FileExistsError"), ("taken/run", "NotADirectoryError")],
+)
+def test_cv_unusable_out_dir_exits_3_before_training(
+    runner, dataset_files, tmp_path, monkeypatch, out_dir, error
+):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking --out-dir")
+
+    monkeypatch.setattr("chainbalance.experiment.train_ensemble", no_training)
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    arff, xml = dataset_files
+    result = _run_cv(runner, arff, xml, tmp_path / out_dir)
+    assert result.exit_code == 3, result.output
+    record = json.loads(result.stderr.strip().splitlines()[-1])
+    assert record["error"] == error
+
+
+_NOT_A_NUMBER = {"overall": {"macro": {"f_measure": "high"}}}
+
+
+@pytest.mark.parametrize(
+    "content, key",
+    [("not json {", "not a JSON results file"),
+     ('{"schema": "chainbalance.cv.v1"}', "'methods'"),
+     (json.dumps({"schema": "chainbalance.cv.v1", "dataset": {},
+                  "methods": {"BR": _NOT_A_NUMBER, "ECC": _NOT_A_NUMBER}}),
+      "not a number")],
+    ids=["not-json", "no-methods", "not-a-number"],
+)
+def test_rank_malformed_results_exit_3(runner, tmp_path, content, key):
+    bad = tmp_path / "cv_results.json"
+    bad.write_text(content)
+    result = runner.invoke(main, ["rank", "--results", str(bad), "--metric", "f_measure"])
+    assert result.exit_code == 3, result.output
+    record = json.loads(result.stderr.strip().splitlines()[-1])
+    assert record["error"] == "DataError"
+    assert str(bad) in record["message"] and key in record["message"]

@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainbalance.dataset import Attribute, MultiLabelDataset, rank_codes
 from chainbalance.errors import ArityMismatch
-from chainbalance.learner import (
-    TreeSpec,
-    append_order,
-    fit_tree,
-    predict_batch,
-    sort_order,
-    tree_to_dict,
-)
+from chainbalance.learner import TreeSpec, fit_tree, predict_batch, tree_to_dict
 from chainbalance.sampling import BinaryDataset
 from reference_tree import fit_tree as reference_fit_tree
 
@@ -138,6 +132,16 @@ def test_adjacent_double_values_split_cleanly():
     assert predict_batch(model, np.array([[a], [b]])).tolist() == [0, 1]
 
 
+def test_huge_values_split_cleanly():
+    # The midpoint of two huge doubles overflows to infinity; the threshold
+    # must still separate the two groups.
+    for a, b in ((1e308, 1.7e308), (-1.7e308, -1e308), (-np.inf, np.inf)):
+        model = fit_tree(_bd([a, b, a, b], [0, 1, 0, 1]), UNLIMITED)
+        assert model.node_count == 3
+        assert a <= model.threshold[0] < b
+        assert predict_batch(model, np.array([[a], [b]])).tolist() == [0, 1]
+
+
 def test_leaf_class_proportions_recorded():
     model = fit_tree(_bd([0, 1, 2, 3], [0, 0, 1, 1]), TreeSpec())
     root_children = [int(model.left[0]), int(model.right[0])]
@@ -171,37 +175,74 @@ def _features(kind: str, n: int, d: int, gen: np.random.Generator) -> np.ndarray
     st.integers(1, 5),
     st.integers(1, 4),
     st.sampled_from([None, 0, 1, 2, 3]),
-    st.booleans(),
+    st.sampled_from([None, "own", "superset"]),
     st.integers(0, 2**32 - 1),
 )
-def test_fit_tree_matches_reference_kernel(kind, n, d, min_leaf, max_depth, pass_order, seed):
+def test_fit_tree_matches_reference_kernel(kind, n, d, min_leaf, max_depth, codes, seed):
     gen = np.random.default_rng(seed)
     X = _features(kind, n, d, gen)
+    ranks = None
+    if codes == "own":
+        ranks = rank_codes(X)
+    elif codes == "superset":
+        # As a bootstrap gathers its training half's codes: rows drawn with
+        # repeats from a larger matrix, with that matrix's codes.
+        pool = np.vstack([X, _features(kind, n, d, gen)])
+        rows = gen.integers(0, 2 * n, size=n)
+        X, ranks = pool[rows], rank_codes(pool)[rows]
     y = (gen.random(n) < gen.random()).astype(np.int8)
     bd = BinaryDataset(X, y)
     spec = TreeSpec(max_depth=max_depth, min_samples_leaf=min_leaf)
-    order = sort_order(X) if pass_order else None
-    assert tree_to_dict(fit_tree(bd, spec, order)) == tree_to_dict(reference_fit_tree(bd, spec))
+    assert tree_to_dict(fit_tree(bd, spec, ranks)) == tree_to_dict(reference_fit_tree(bd, spec))
 
 
 def _stable_order(X: np.ndarray) -> np.ndarray:
     return np.argsort(X, axis=0, kind="stable").T
 
 
+def _same_ties(codes: np.ndarray, values: np.ndarray) -> bool:
+    """Per column, codes are equal exactly where the values are."""
+    return all(
+        np.array_equal(c[:, None] == c[None, :], v[:, None] == v[None, :])
+        for c, v in zip(codes.T, values.T)
+    )
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 4), st.integers(0, 2**32 - 1))
-def test_subset_and_append_orders_are_stable_argsorts(n, d, seed):
+def test_rank_codes_order_like_values(n, d, seed):
     gen = np.random.default_rng(seed)
-    X = gen.integers(0, 3, size=(n, d)).astype(np.float64)  # many ties
-    order = sort_order(X)
-    assert order.dtype == np.int32
-    assert np.array_equal(order, _stable_order(X))
-    column = gen.integers(0, 2, size=n).astype(np.int8)
-    augmented = np.hstack([X, column[:, None].astype(np.float64)])
-    assert np.array_equal(append_order(order, column), _stable_order(augmented))
+    X = gen.choice([-1.0, -0.0, 0.0, 2.5], size=(n, d))  # many ties, signed zeros
+    ds = MultiLabelDataset(
+        features=X,
+        labels=np.zeros((n, 1), dtype=np.int8),
+        label_names=("L0",),
+        feature_kinds=tuple(Attribute(f"x{f}") for f in range(d)),
+    )
+    codes = ds.ranks
+    rows = gen.integers(0, n, size=n)
+    taken = ds.take_rows(rows)
+    # The subset gathers its parent's codes instead of ranking its own rows.
+    assert np.array_equal(taken.ranks, codes[rows])
+    for codes, values in ((ds.ranks, X), (taken.ranks, X[rows])):
+        assert codes.dtype == np.uint16
+        assert np.array_equal(_stable_order(codes), _stable_order(values))
+        assert _same_ties(codes, values)
 
 
-def test_fit_tree_rejects_order_of_wrong_shape():
+def test_rank_codes_widen_past_65536_rows():
+    X = np.arange(65_537, dtype=np.float64)[::-1, None]
+    codes = rank_codes(X)
+    assert codes.dtype == np.uint32
+    assert codes[0, 0] == 65_536 and codes[-1, 0] == 0
+    narrow = rank_codes(X[1:])
+    assert narrow.dtype == np.uint16
+    assert narrow[0, 0] == 65_535
+
+
+def test_fit_tree_rejects_ranks_of_wrong_shape():
     bd = _bd([[0, 1], [1, 0], [2, 2]], [0, 1, 1])
-    with pytest.raises(ValueError, match="order has shape"):
-        fit_tree(bd, TreeSpec(), sort_order(bd.features[:2]))
+    with pytest.raises(ValueError, match="ranks has shape"):
+        fit_tree(bd, TreeSpec(), rank_codes(bd.features[:2]))
+    with pytest.raises(ValueError, match="ranks has shape"):
+        fit_tree(bd, TreeSpec(), rank_codes(bd.features).T)
