@@ -83,14 +83,17 @@ def _train_chain(
     ds: MultiLabelDataset,
     chain: ChainSpec,
     spec: TreeSpec,
-    rng: RngStream | None,
+    streams: list[RngStream] | None,
 ) -> ChainModel:
-    """The link loop of both chain kinds; rng=None trains a plain chain.
+    """The link loop of every method; streams=None trains a plain chain, and
+    otherwise link j fits on a balanced subset drawn from streams[j].
 
     The chain's features and rank codes each get one buffer. A 0/1 column
     is its own rank code, so each link's output extends both the same way.
     """
     _check_chain(ds, chain)
+    if streams is not None and len(streams) != len(chain):
+        raise ValueError(f"{len(streams)} streams for a chain of {len(chain)} links")
     links = []
     counts = []
     features = _with_chain_columns(ds.features, len(chain))
@@ -99,19 +102,19 @@ def _train_chain(
         width = ds.d + offset
         targets = ds.labels[:, label]
         X, R, y = features[:, :width], ranks[:, :width], targets
-        if rng is not None:
+        if streams is not None:
             if not targets.any() or targets.all():
                 raise SingleClassLabel(
                     f"label {label} is single-class in this training set"
                 )
-            kept = random_undersample(targets, rng.child(offset))
+            kept = random_undersample(targets, streams[offset])
             X, R, y = X[kept], R[kept], y[kept]
         bd = BinaryDataset(X, y)
         model = fit_tree(bd, spec, R)
         links.append((label, model))
         counts.append((bd.positive_count, bd.negative_count))
         if offset < len(chain) - 1:
-            column = targets if rng is None else predict_batch(model, features[:, :width])
+            column = targets if streams is None else predict_batch(model, features[:, :width])
             features[:, width] = column
             ranks[:, width] = column
     return ChainModel(
@@ -130,15 +133,16 @@ def train_ccru(
     ds: MultiLabelDataset,
     chain: ChainSpec,
     spec: TreeSpec,
-    rng: RngStream,
+    streams: list[RngStream],
 ) -> ChainModel:
     """Train an undersampled chain.
 
-    Each link fits on a balanced subset (majority rows removed at random) and
-    then predicts every row, balanced or not, to produce the next augmented
-    column. Every chained label must have both classes present.
+    Link j fits on a balanced subset drawn from streams[j] (majority rows
+    removed at random) and then predicts every row, balanced or not, to
+    produce the next augmented column. Every chained label must have both
+    classes present, and there must be one stream per link.
     """
-    return _train_chain(ds, chain, spec, rng)
+    return _train_chain(ds, chain, spec, streams)
 
 
 def predict_chain_batch(model: ChainModel, X: np.ndarray) -> list[tuple[int, np.ndarray]]:

@@ -532,8 +532,6 @@ def reduce_features_by_frequency(
     if keep_fraction == 1.0:
         return ds
     keep = math.ceil(keep_fraction * ds.d)
-    if keep < 1:
-        raise ValueError("keep_fraction retains no features")
     nonzero = (ds.features != 0).sum(axis=0)
     ranked = sorted(range(ds.d), key=lambda j: (-int(nonzero[j]), j))
     retained = sorted(ranked[:keep])

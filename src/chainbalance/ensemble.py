@@ -1,14 +1,15 @@
 """Ensemble trainers: binary-relevance baselines and chain ensembles.
 
-Seven methods share one model shape and one round builder, and differ only
-in four switches (see _METHOD_TABLE). BR fits one tree per label on the full
-data; BRUS balances each binary set first; EBRUS bags BRUS over bootstrap
-rounds. ECC bags plain chains over bootstrap resamples and random label
-orders; ECCRU does the same with undersampled chains. ECCRU2 redistributes
-the training budget by building more classifiers for rarer labels, producing
-nested partial chains, and ECCRU3 adds a lower bound so that full chains are
-still built. Predictions are per-label vote fractions, normalized by how
-many classifiers actually target each label.
+Seven methods share one model shape, one round builder and one chain
+trainer, and differ only in four switches (see _METHOD_TABLE). BR fits a
+one-label chain per label on the full data; BRUS balances each binary set
+first; EBRUS bags BRUS over bootstrap rounds. ECC bags plain chains over
+bootstrap resamples and random label orders; ECCRU does the same with
+undersampled chains. ECCRU2 redistributes the training budget by building
+more classifiers for rarer labels, producing nested partial chains, and
+ECCRU3 adds a lower bound so that full chains are still built. Predictions
+are per-label vote fractions, normalized by how many classifiers actually
+target each label.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ from .errors import (
     NoTrainableLabels,
     ZeroMinorityCount,
 )
-from .learner import TreeSpec, fit_tree
-from .sampling import BinaryDataset, RngStream, bootstrap, random_undersample
+from .learner import TreeSpec
+from .learner import fit_tree  # noqa: F401  (unused; perfbench/spans.py wraps it)
+from .sampling import RngStream, bootstrap
+from .sampling import random_undersample  # noqa: F401  (unused; perfbench/spans.py wraps it)
 
 
 @dataclass(frozen=True)
@@ -218,23 +221,6 @@ def _permute(labels: tuple[int, ...], stream: RngStream) -> ChainSpec:
     return ChainSpec(tuple(labels[i] for i in order))
 
 
-def _single_link(
-    ds: MultiLabelDataset, label: int, tree: TreeSpec, stream: RngStream | None
-) -> ChainModel:
-    """A one-link chain; with a stream, the link fits on a balanced subset."""
-    X, R = ds.features, ds.ranks
-    targets = ds.labels[:, label]
-    if stream is not None:
-        kept = random_undersample(targets, stream)
-        X, R, targets = X[kept], R[kept], targets[kept]
-    bd = BinaryDataset(X, targets)
-    return ChainModel(
-        links=((label, fit_tree(bd, tree, R)),),
-        base_arity=ds.d,
-        fit_class_counts=((bd.positive_count, bd.negative_count),),
-    )
-
-
 def _train_round(
     ds: MultiLabelDataset,
     labels: tuple[int, ...],
@@ -256,20 +242,22 @@ def _train_round(
             if not labels:
                 return []
     if method.chained:
-        order = _permute(labels, stream.child(_PERMUTE))
-        if method.undersampled:
-            return [train_ccru(ds, order, tree, stream.child(_TRAIN))]
-        return [train_cc(ds, order, tree)]
+        chains = [_permute(labels, stream.child(_PERMUTE))]
+    else:
+        chains = [ChainSpec((label,)) for label in labels]
+    if not method.undersampled:
+        return [train_cc(ds, chain, tree) for chain in chains]
+    # Link k of a bagged round, counting across its chains, undersamples from
+    # child(_TRAIN, k). An unbagged round holds one label, which undersamples
+    # from the substream a bootstrap would have drawn.
+    if method.bagged:
+        streams = [stream.child(_TRAIN, k) for k in range(len(labels))]
+    else:
+        streams = [stream.child(_BOOT)]
     models = []
-    for j, label in enumerate(labels):
-        link_stream = None
-        if method.undersampled:
-            # An unbagged round holds one label, which undersamples from the
-            # substream a bootstrap would have drawn.
-            link_stream = (
-                stream.child(_TRAIN, j) if method.bagged else stream.child(_BOOT)
-            )
-        models.append(_single_link(ds, label, tree, link_stream))
+    for chain in chains:
+        models.append(train_ccru(ds, chain, tree, streams[: len(chain)]))
+        streams = streams[len(chain) :]
     return models
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -269,6 +270,9 @@ def collect_rank_matrix(
                 raise ConfigError(f"{path}: macro {metric} undefined for {m}")
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise DataError(f"{path}: macro {metric} for {m} is not a number: {value!r}")
+            # False for NaN, infinities and integers past the float range.
+            if not abs(value) <= sys.float_info.max:
+                raise DataError(f"{path}: macro {metric} for {m} is not a finite float: {value!r}")
         columns.append(values)
     assert methods is not None
     matrix = np.array(columns, dtype=np.float64).T

@@ -27,6 +27,10 @@ def _predict_row(chain: ChainModel, x) -> list[tuple[int, int]]:
     return [(label, int(preds[0])) for label, preds in predict_chain_batch(chain, row)]
 
 
+def _link_streams(root: RngStream, links: int) -> list[RngStream]:
+    return [root.child(j) for j in range(links)]
+
+
 def _dataset(features, labels, q_names=None) -> MultiLabelDataset:
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int8)
@@ -78,7 +82,7 @@ def test_train_cc_uses_true_labels_for_augmentation():
 
 def test_train_ccru_links_balanced():
     ds = dataset_with_label_counts(100, [10, 20], seed=6)
-    chain = train_ccru(ds, ChainSpec((0, 1)), UNLIMITED, RngStream(1))
+    chain = train_ccru(ds, ChainSpec((0, 1)), UNLIMITED, _link_streams(RngStream(1), 2))
     assert chain.fit_class_counts[0] == (10, 10)
     assert chain.fit_class_counts[1] == (20, 20)
     assert chain.links[0][1].n_features == ds.d
@@ -90,14 +94,21 @@ def test_train_ccru_single_class_label_rejected():
     labels[:5, 0] = 1
     ds = _dataset(np.random.default_rng(0).normal(size=(20, 2)), labels)
     with pytest.raises(SingleClassLabel):
-        train_ccru(ds, ChainSpec((0, 1)), UNLIMITED, RngStream(0))
+        train_ccru(ds, ChainSpec((0, 1)), UNLIMITED, _link_streams(RngStream(0), 2))
+
+
+@pytest.mark.parametrize("links", [1, 3])
+def test_train_ccru_needs_one_stream_per_link(links):
+    ds = dataset_with_label_counts(40, [10, 15], seed=6)
+    with pytest.raises(ValueError, match="streams for a chain of 2 links"):
+        train_ccru(ds, ChainSpec((0, 1)), UNLIMITED, _link_streams(RngStream(0), links))
 
 
 def test_train_ccru_out_of_sample_augmentation():
     # Majority rows removed from link 1's fit still receive an augmented
     # value: link 2 trains on all rows, so its fitting pool is the full set.
     ds = dataset_with_label_counts(100, [10, 50], seed=7)
-    chain = train_ccru(ds, ChainSpec((0, 1)), UNLIMITED, RngStream(2))
+    chain = train_ccru(ds, ChainSpec((0, 1)), UNLIMITED, _link_streams(RngStream(2), 2))
     # Link 1 fit on 20 of 100 rows; the other 80 were out-of-sample.
     assert sum(chain.fit_class_counts[0]) == 20
     # Link 2's balanced fit drew from the full 100-row pool.
@@ -106,7 +117,7 @@ def test_train_ccru_out_of_sample_augmentation():
 
 def test_predict_chain_single_link():
     ds = make_dataset(30, [0.5], seed=8)
-    chain = train_ccru(ds, ChainSpec((0,)), UNLIMITED, RngStream(3))
+    chain = train_ccru(ds, ChainSpec((0,)), UNLIMITED, _link_streams(RngStream(3), 1))
     votes = _predict_row(chain, ds.features[0])
     assert len(votes) == 1 and votes[0][0] == 0 and votes[0][1] in (0, 1)
 
@@ -124,14 +135,14 @@ def test_predict_chain_constant_second_link():
 
 def test_partial_chain_votes_subset():
     ds = make_dataset(50, [0.3, 0.4, 0.5], seed=9)
-    chain = train_ccru(ds, ChainSpec((2, 0)), UNLIMITED, RngStream(4))
+    chain = train_ccru(ds, ChainSpec((2, 0)), UNLIMITED, _link_streams(RngStream(4), 2))
     votes = _predict_row(chain, ds.features[0])
     assert [label for label, _ in votes] == [2, 0]
 
 
 def test_chain_arity_mismatch():
     ds = make_dataset(20, [0.5], seed=10)
-    chain = train_ccru(ds, ChainSpec((0,)), UNLIMITED, RngStream(5))
+    chain = train_ccru(ds, ChainSpec((0,)), UNLIMITED, _link_streams(RngStream(5), 1))
     with pytest.raises(ArityMismatch):
         predict_chain_batch(chain, np.zeros((1, ds.d + 1)))
     with pytest.raises(ArityMismatch):
@@ -147,8 +158,8 @@ def test_chain_model_arity_law_enforced():
 
 def test_train_ccru_deterministic():
     ds = make_dataset(60, [0.2, 0.4], seed=12)
-    a = train_ccru(ds, ChainSpec((1, 0)), UNLIMITED, RngStream(6, (2,)))
-    b = train_ccru(ds, ChainSpec((1, 0)), UNLIMITED, RngStream(6, (2,)))
+    a = train_ccru(ds, ChainSpec((1, 0)), UNLIMITED, _link_streams(RngStream(6, (2,)), 2))
+    b = train_ccru(ds, ChainSpec((1, 0)), UNLIMITED, _link_streams(RngStream(6, (2,)), 2))
     assert chain_to_dict(a) == chain_to_dict(b)
 
 
@@ -159,7 +170,7 @@ def test_copied_labels_vote_identically():
     y0 = gen.integers(0, 2, size=40).astype(np.int8)
     X = y0.astype(np.float64)[:, None]
     ds = _dataset(X, np.column_stack([y0, y0, y0]))
-    chain = train_ccru(ds, ChainSpec((0, 1, 2)), UNLIMITED, RngStream(7))
+    chain = train_ccru(ds, ChainSpec((0, 1, 2)), UNLIMITED, _link_streams(RngStream(7), 3))
     votes = predict_chain_batch(chain, ds.features)
     stacked = np.vstack([preds for _, preds in votes])
     assert (stacked == stacked[0]).all()

@@ -323,7 +323,8 @@ def test_cv_accepts_nominal_features(runner, tmp_path):
     assert (tmp_path / "out" / "cv_results.json").exists()
 
 
-def test_cv_label_only_arff_trains(runner, tmp_path):
+@pytest.fixture
+def label_only_files(tmp_path):
     from chainbalance.dataset import MultiLabelDataset
 
     gen = np.random.default_rng(3)
@@ -334,11 +335,26 @@ def test_cv_label_only_arff_trains(runner, tmp_path):
         feature_kinds=(),
         relation="labels_only",
     )
-    arff, xml = write_dataset_files(ds, tmp_path)
+    return write_dataset_files(ds, tmp_path)
+
+
+def test_cv_label_only_arff_trains(runner, label_only_files, tmp_path):
+    arff, xml = label_only_files
     result = _run_cv(runner, arff, xml, tmp_path / "out")
     assert result.exit_code == 0, result.output
     payload = json.loads((tmp_path / "out" / "cv_results.json").read_text())
     assert payload["dataset"]["d"] == 0
+
+
+@pytest.mark.parametrize("command", ["stats", "cv"])
+def test_label_only_arff_keeps_feature_fraction(runner, label_only_files, tmp_path, command):
+    arff, xml = label_only_files
+    keep = ["--feature-keep-fraction", "0.5"]
+    if command == "stats":
+        result = runner.invoke(main, ["stats", "--arff", arff, "--xml", xml, *keep])
+    else:
+        result = _run_cv(runner, arff, xml, tmp_path / "out", keep)
+    assert result.exit_code == 0, result.output
 
 
 def test_cv_non_finite_feature_exits_3(runner, dataset_files, tmp_path):
@@ -400,7 +416,11 @@ def test_cv_unusable_out_dir_exits_3_before_training(
     assert record["error"] == error
 
 
-_NOT_A_NUMBER = {"overall": {"macro": {"f_measure": "high"}}}
+def _macro(value) -> dict:
+    return {"overall": {"macro": {"f_measure": value}}}
+
+
+_NOT_A_NUMBER = _macro("high")
 
 
 @pytest.mark.parametrize(
@@ -409,8 +429,17 @@ _NOT_A_NUMBER = {"overall": {"macro": {"f_measure": "high"}}}
      ('{"schema": "chainbalance.cv.v1"}', "'methods'"),
      (json.dumps({"schema": "chainbalance.cv.v1", "dataset": {},
                   "methods": {"BR": _NOT_A_NUMBER, "ECC": _NOT_A_NUMBER}}),
-      "not a number")],
-    ids=["not-json", "no-methods", "not-a-number"],
+      "not a number"),
+     (json.dumps({"schema": "chainbalance.cv.v1", "dataset": {},
+                  "methods": {"BR": _macro(0.5), "ECC": _macro(float("nan"))}}),
+      "for ECC is not a finite float"),
+     (json.dumps({"schema": "chainbalance.cv.v1", "dataset": {},
+                  "methods": {"BR": _macro(0.5), "ECC": _macro(float("inf"))}}),
+      "for ECC is not a finite float"),
+     (json.dumps({"schema": "chainbalance.cv.v1", "dataset": {},
+                  "methods": {"BR": _macro(0.5), "ECC": _macro(10**400)}}),
+      "for ECC is not a finite float")],
+    ids=["not-json", "no-methods", "not-a-number", "nan", "infinity", "beyond-float"],
 )
 def test_rank_malformed_results_exit_3(runner, tmp_path, content, key):
     bad = tmp_path / "cv_results.json"

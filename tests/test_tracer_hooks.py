@@ -27,6 +27,7 @@ ds = make_dataset(40, [0.2, 0.4, 0.6], seed=1)
 for method in METHODS:
     experiment.train_ensemble(ds, EnsembleSpec(method=method, c=2, seed=3))
 print(json.dumps({"names": sorted({s.name for s in rec.spans}),
+                  "counts": dict(rec.counts),
                   "problems": check_spans(rec.spans)}))
 """
 
@@ -92,6 +93,9 @@ def test_tracer_hooks_record_every_layer():
         "sampling.undersample",
         "ensemble.task",
     } <= set(result["names"])
+    # Every method fits each tree as a link of a chain it trains.
+    assert result["counts"]["learner.fits"] > 0
+    assert result["counts"]["chain.links"] == result["counts"]["learner.fits"]
     assert result["problems"] == []
 
 
