@@ -20,7 +20,7 @@ from .dataset import (
     reduce_features_by_frequency,
     summarize,
 )
-from .errors import ChainbalanceError, ConfigError, DataError
+from .errors import ChainbalanceError, ConfigError
 from .experiment import ExperimentConfig, collect_rank_matrix, run_cv
 from .learner import TreeSpec
 from .metrics import METRIC_KEYS, average_ranks
@@ -42,8 +42,6 @@ def _guard(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except ConfigError as exc:
         _fail(CONFIG_EXIT, exc)
-    except DataError as exc:
-        _fail(DATA_EXIT, exc)
     except (FileExistsError, FileNotFoundError, IsADirectoryError,
             NotADirectoryError, PermissionError) as exc:
         _fail(DATA_EXIT, exc)

@@ -195,24 +195,26 @@ def compute_classifier_budget(
     return ClassifierBudget(targets=targets, raw=raw, total_minority=total)
 
 
-def chain_label_sets(targets: list[int] | tuple[int, ...], max_rounds: int) -> list[list[int]]:
-    """Nested label subsets for the partial-chain build.
+def chain_label_sets(targets: list[int] | tuple[int, ...]) -> list[list[int]]:
+    """Nested label subsets, one per round, from per-label classifier counts.
 
     Each round collects the labels whose remaining counter is positive and
-    decrements them; building stops after max_rounds rounds or as soon as
-    fewer than two labels remain. Entries are positions into the targets
-    list, in ascending order.
+    decrements them; building stops at the first round that would hold
+    fewer than two labels (with a single target, at the first empty round).
+    So a lone label gets one round per count, and two or more labels never
+    form a one-label round. Entries are positions into the targets list, in
+    ascending order.
     """
     counters = [int(t) for t in targets]
+    need = 2 if len(counters) >= 2 else 1
     rounds: list[list[int]] = []
-    for _ in range(max_rounds):
+    while True:
         selected = [j for j, cn in enumerate(counters) if cn > 0]
+        if len(selected) < need:
+            return rounds
         for j in selected:
             counters[j] -= 1
-        if len(selected) < 2:
-            break
         rounds.append(selected)
-    return rounds
 
 
 def _permute(labels: tuple[int, ...], stream: RngStream) -> ChainSpec:
@@ -277,11 +279,14 @@ def train_ensemble(
 
     Single-class labels are excluded from every chain and served by constant
     predictions. The method's switches turn into a list of rounds, each a
-    tuple of labels; rounds may run concurrently, and each derives its own
-    substream from (seed, round index), so the result is independent of
-    n_jobs. In an undersampled bagged round, a label that is single-class in
-    the round's bootstrap gets no link there; a label left without a link in
-    every round scores 0.0.
+    tuple of labels: one round per label when unbagged, else the
+    chain_label_sets of per-label classifier counts, which are c for every
+    label or, for ECCRU2/3 with two or more labels, the classifier budget.
+    Rounds may run concurrently, and each derives its own substream from
+    (seed, round index), so the result is independent of n_jobs. In an
+    undersampled bagged round, a label that is single-class in the round's
+    bootstrap gets no link there; a label left without a link in every
+    round scores 0.0.
     """
     stats = all_label_stats(ds)
     skipped = {
@@ -295,19 +300,18 @@ def train_ensemble(
     method = _METHOD_TABLE[spec.method]
     if not method.bagged:
         rounds = [(label,) for label in eligible]
-    elif method.budgeted and len(eligible) >= 2:
-        budget = compute_classifier_budget(
-            [stats[j].minority_count for j in eligible], spec
-        )
-        max_rounds = _int_floor(spec.c * spec.theta_max)
+    else:
+        # c classifiers per label, unless the budget redistributes them;
+        # partial chains need two labels, so a lone label keeps c rounds.
+        targets = [spec.c] * len(eligible)
+        if method.budgeted and len(eligible) >= 2:
+            targets = compute_classifier_budget(
+                [stats[j].minority_count for j in eligible], spec
+            ).targets
         rounds = [
             tuple(eligible[p] for p in positions)
-            for positions in chain_label_sets(budget.targets, max_rounds)
+            for positions in chain_label_sets(targets)
         ]
-    else:
-        # Partial chains need at least two labels per round; with fewer, the
-        # budgeted methods fall back to c uniform rounds.
-        rounds = [tuple(eligible)] * spec.c
     # Rank the features before the rounds: the threads share these codes,
     # and every bootstrap and balanced subset gathers them instead of sorting.
     ds.ranks

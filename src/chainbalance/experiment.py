@@ -124,14 +124,12 @@ def run_cv(config: ExperimentConfig) -> dict:
     }
 
     for repeat in range(config.repeats):
-        folds = iterative_stratified_kfold(
+        fold_of = iterative_stratified_kfold(
             ds, config.folds, master.child(_FOLD_SPLIT, repeat)
         )
         for fold_idx in range(config.folds):
-            test_rows = folds[fold_idx]
-            train_rows = np.sort(
-                np.concatenate([folds[i] for i in range(config.folds) if i != fold_idx])
-            )
+            test_rows = np.flatnonzero(fold_of == fold_idx)
+            train_rows = np.flatnonzero(fold_of != fold_idx)
             train_ds = ds.take_rows(train_rows)
             for method_idx, method in enumerate(config.methods):
                 seed = derive_seed(

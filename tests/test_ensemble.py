@@ -123,7 +123,7 @@ def test_budget_eccru3_bounds(counts, c, theta_min, theta_max):
 
 
 def test_chain_label_sets_worked_example():
-    rounds = chain_label_sets((20, 10, 6), 100)
+    rounds = chain_label_sets((20, 10, 6))
     assert len(rounds) == 10
     assert Counter(len(r) for r in rounds) == {3: 6, 2: 4}
     # Nesting: each round's label set contains the next round's.
@@ -134,14 +134,21 @@ def test_chain_label_sets_worked_example():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(1, 40), min_size=2, max_size=8), st.integers(1, 15))
-def test_chain_label_sets_nested(targets, c):
-    rounds = chain_label_sets(tuple(targets), c * 10)
+@given(st.lists(st.integers(1, 40), min_size=2, max_size=8))
+def test_chain_label_sets_nested(targets):
+    rounds = chain_label_sets(tuple(targets))
     for a, b in zip(rounds, rounds[1:]):
         assert set(b) <= set(a)
         assert len(b) <= len(a)
     for r in rounds:
         assert len(r) >= 2
+
+
+def test_chain_label_sets_lone_label():
+    # One label still gets a round per count; no labels get no rounds.
+    assert chain_label_sets((3,)) == [[0], [0], [0]]
+    assert chain_label_sets((0,)) == []
+    assert chain_label_sets(()) == []
 
 
 def test_eccru2_build_matches_worked_example():

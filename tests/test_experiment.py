@@ -212,9 +212,9 @@ def test_undersampled_ensembles_beat_plain_br_on_imbalanced_synthetic():
     # in the majority class while the balanced chains keep recall.
     ds = make_dataset(240, [0.07, 0.1, 0.12], noise_features=4, seed=2,
                       signal=1.2, noise_scale=1.0)
-    folds = iterative_stratified_kfold(ds, 2, RngStream(102))
-    train = ds.take_rows(folds[0])
-    test = ds.take_rows(folds[1])
+    fold_of = iterative_stratified_kfold(ds, 2, RngStream(102))
+    train = ds.take_rows(np.flatnonzero(fold_of == 0))
+    test = ds.take_rows(np.flatnonzero(fold_of == 1))
     macros = {}
     for method in ("BR", "ECCRU", "ECCRU2", "ECCRU3"):
         model = train_ensemble(train, EnsembleSpec(method=method, c=5, seed=7))

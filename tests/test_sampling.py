@@ -16,6 +16,7 @@ from chainbalance.sampling import (
     random_undersample,
 )
 from conftest import make_dataset
+from reference_kfold import iterative_stratified_kfold as reference_kfold
 
 
 def test_rng_stream_reproducible():
@@ -143,6 +144,11 @@ def test_binary_dataset_targets():
             BinaryDataset(np.zeros((3, 1)), [0.0, 1.0, bad])
 
 
+def _folds(fold_of: np.ndarray, k: int) -> list[np.ndarray]:
+    """The sorted row ids of each fold."""
+    return [np.flatnonzero(fold_of == f) for f in range(k)]
+
+
 def test_kfold_two_positives_two_folds():
     labels = np.array([[1], [0], [1], [0]], dtype=np.int8)
     ds = MultiLabelDataset(
@@ -151,14 +157,14 @@ def test_kfold_two_positives_two_folds():
         label_names=("L",),
         feature_kinds=(Attribute("x"),),
     )
-    folds = iterative_stratified_kfold(ds, 2, RngStream(3))
+    folds = _folds(iterative_stratified_kfold(ds, 2, RngStream(3)), 2)
     for fold in folds:
         assert labels[fold, 0].sum() == 1
 
 
 def test_kfold_singletons():
     ds = make_dataset(6, [0.5], seed=1)
-    folds = iterative_stratified_kfold(ds, 6, RngStream(0))
+    folds = _folds(iterative_stratified_kfold(ds, 6, RngStream(0)), 6)
     assert sorted(len(f) for f in folds) == [1] * 6
     assert sorted(int(f[0]) for f in folds) == list(range(6))
 
@@ -172,7 +178,7 @@ def test_kfold_exact_proportional_split():
         label_names=("L",),
         feature_kinds=(Attribute("a"), Attribute("b")),
     )
-    folds = iterative_stratified_kfold(ds, 5, RngStream(11))
+    folds = _folds(iterative_stratified_kfold(ds, 5, RngStream(11)), 5)
     for fold in folds:
         assert labels[fold, 0].sum() == 2
         assert len(fold) == 20
@@ -182,8 +188,7 @@ def test_kfold_deterministic():
     ds = make_dataset(37, [0.2, 0.5], seed=8)
     a = iterative_stratified_kfold(ds, 3, RngStream(42, (1,)))
     b = iterative_stratified_kfold(ds, 3, RngStream(42, (1,)))
-    for fa, fb in zip(a, b):
-        assert np.array_equal(fa, fb)
+    assert np.array_equal(a, b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -197,9 +202,78 @@ def test_kfold_partition_property(n, q, k, seed):
     if n < k:
         n = k
     ds = make_dataset(n, [0.3] * q, seed=seed, ensure_both_classes=False)
-    folds = iterative_stratified_kfold(ds, k, RngStream(seed))
+    fold_of = iterative_stratified_kfold(ds, k, RngStream(seed))
+    assert fold_of.dtype == np.int64
+    assert fold_of.shape == (n,)
+    assert ((fold_of >= 0) & (fold_of < k)).all()
+    folds = _folds(fold_of, k)
     merged = np.concatenate(folds)
     assert len(merged) == n
     assert len(np.unique(merged)) == n
     sizes = [len(f) for f in folds]
+    assert min(sizes) >= 1
     assert max(sizes) - min(sizes) <= 1
+
+
+def _labels_dataset(labels: np.ndarray) -> MultiLabelDataset:
+    n = labels.shape[0]
+    return MultiLabelDataset(
+        features=np.zeros((n, 1)),
+        labels=labels.astype(np.int8),
+        label_names=tuple(f"L{j}" for j in range(labels.shape[1])),
+        feature_kinds=(Attribute("x"),),
+    )
+
+
+def _assert_matches_reference(labels: np.ndarray, k: int, seed: int) -> None:
+    ds = _labels_dataset(labels)
+    folds = _folds(iterative_stratified_kfold(ds, k, RngStream(seed)), k)
+    expected = reference_kfold(ds, k, RngStream(seed))
+    assert len(folds) == len(expected) == k
+    for got, want in zip(folds, expected):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@st.composite
+def _label_matrices(draw):
+    """Label columns with 0, 1, some or all rows positive, and extra rows
+    that hold no positive label."""
+    k = draw(st.integers(2, 8))
+    n = draw(st.integers(k, 150))
+    q = draw(st.integers(1, 5))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.zeros((n, q), dtype=np.int8)
+    for j in range(q):
+        kind = draw(st.sampled_from(["none", "one", "some", "all"]))
+        if kind == "one":
+            labels[gen.integers(n), j] = 1
+        elif kind == "some":
+            labels[:, j] = gen.random(n) < draw(st.floats(0.01, 0.99))
+        elif kind == "all":
+            labels[:, j] = 1
+    blank = draw(st.integers(0, n))
+    labels[gen.choice(n, size=blank, replace=False)] = 0
+    return labels, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(_label_matrices(), st.integers(0, 2**32 - 1))
+def test_kfold_matches_reference(case, seed):
+    labels, k = case
+    _assert_matches_reference(labels, k, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "labels, k",
+    [
+        (np.eye(5, 2, dtype=np.int8), 5),  # k == n
+        (np.ones((7, 3), dtype=np.int8), 7),  # k == n, every row positive
+        (np.zeros((40, 3), dtype=np.int8), 4),  # no positive anywhere
+        (np.zeros((9, 1), dtype=np.int8), 9),  # both at once
+    ],
+    ids=["k-eq-n", "k-eq-n-all-positive", "all-zero", "all-zero-k-eq-n"],
+)
+def test_kfold_matches_reference_edges(labels, k, seed):
+    _assert_matches_reference(labels, k, seed)
