@@ -6,6 +6,10 @@ chains (the bagged-ensemble baseline) append the true values of earlier
 labels during training; undersampled chains balance every link's fitting set
 and append the link's own predictions over all rows instead, so removed
 majority rows receive out-of-sample predictions.
+
+A chain may train on a resample given as row ids, such as a bootstrap: it
+gathers those rows into its own feature and rank-code buffers, once, so no
+copy of the resample lives beside them.
 """
 
 from __future__ import annotations
@@ -70,10 +74,14 @@ def _check_chain(ds: MultiLabelDataset, chain: ChainSpec) -> None:
         raise ValueError("chain references a label outside the dataset")
 
 
-def _with_chain_columns(base: np.ndarray, links: int) -> np.ndarray:
-    """One buffer for a whole chain: base followed by a column for each link
-    but the last. Link j reads the prefix of the first d + j columns and
-    writes its output into column d + j."""
+def _with_chain_columns(
+    base: np.ndarray, links: int, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """One buffer for a whole chain: the base rows (all of them, or base[rows])
+    followed by a column for each link but the last. Link j reads the prefix
+    of the first d + j columns and writes its output into column d + j."""
+    if rows is not None:
+        base = base[rows]
     if links <= 1:
         return base
     return np.hstack([base, np.empty((base.shape[0], links - 1), dtype=base.dtype)])
@@ -84,23 +92,27 @@ def _train_chain(
     chain: ChainSpec,
     spec: TreeSpec,
     streams: list[RngStream] | None,
+    rows: np.ndarray | None,
 ) -> ChainModel:
     """The link loop of every method; streams=None trains a plain chain, and
     otherwise link j fits on a balanced subset drawn from streams[j].
 
-    The chain's features and rank codes each get one buffer. A 0/1 column
-    is its own rank code, so each link's output extends both the same way.
+    The chain trains on ds.take_rows(rows), or on ds when rows is None, but
+    gathers those rows itself: its features and rank codes each get one
+    buffer, filled from ds once. A 0/1 column is its own rank code, so each
+    link's output extends both the same way.
     """
     _check_chain(ds, chain)
     if streams is not None and len(streams) != len(chain):
         raise ValueError(f"{len(streams)} streams for a chain of {len(chain)} links")
     links = []
     counts = []
-    features = _with_chain_columns(ds.features, len(chain))
-    ranks = _with_chain_columns(ds.ranks, len(chain))
+    features = _with_chain_columns(ds.features, len(chain), rows)
+    ranks = _with_chain_columns(ds.ranks, len(chain), rows)
+    labels = ds.labels if rows is None else ds.labels[rows]
     for offset, label in enumerate(chain.sequence):
         width = ds.d + offset
-        targets = ds.labels[:, label]
+        targets = labels[:, label]
         X, R, y = features[:, :width], ranks[:, :width], targets
         if streams is not None:
             if not targets.any() or targets.all():
@@ -124,9 +136,18 @@ def _train_chain(
     )
 
 
-def train_cc(ds: MultiLabelDataset, chain: ChainSpec, spec: TreeSpec) -> ChainModel:
-    """Train a plain chain: link j sees the true values of earlier labels."""
-    return _train_chain(ds, chain, spec, None)
+def train_cc(
+    ds: MultiLabelDataset,
+    chain: ChainSpec,
+    spec: TreeSpec,
+    rows: np.ndarray | None = None,
+) -> ChainModel:
+    """Train a plain chain: link j sees the true values of earlier labels.
+
+    With rows, such as bootstrap row ids, the chain trains on those rows of
+    ds, as on ds.take_rows(rows).
+    """
+    return _train_chain(ds, chain, spec, None, rows)
 
 
 def train_ccru(
@@ -134,15 +155,17 @@ def train_ccru(
     chain: ChainSpec,
     spec: TreeSpec,
     streams: list[RngStream],
+    rows: np.ndarray | None = None,
 ) -> ChainModel:
     """Train an undersampled chain.
 
     Link j fits on a balanced subset drawn from streams[j] (majority rows
     removed at random) and then predicts every row, balanced or not, to
     produce the next augmented column. Every chained label must have both
-    classes present, and there must be one stream per link.
+    classes present, and there must be one stream per link. With rows, the
+    chain trains on those rows of ds, as on ds.take_rows(rows).
     """
-    return _train_chain(ds, chain, spec, streams)
+    return _train_chain(ds, chain, spec, streams, rows)
 
 
 def predict_chain_batch(model: ChainModel, X: np.ndarray) -> list[tuple[int, np.ndarray]]:

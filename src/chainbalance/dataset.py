@@ -176,9 +176,16 @@ class DatasetSummary:
 
 
 def _read_text(source: str | Path | TextIO) -> str:
-    """The text of a path, of a stream, or the text itself, without a BOM."""
+    """The text of a path, which must be UTF-8, of a stream, or the text
+    itself, without a BOM."""
     if isinstance(source, Path):
-        source = source.read_text()
+        data = source.read_bytes()
+        try:
+            source = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedArff(
+                f"{source}: not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+            ) from exc
     elif not isinstance(source, str):
         source = source.read()
     return source.lstrip("\ufeff")
@@ -340,13 +347,15 @@ def load_mulan(
     relation = "dataset"
     attributes: list[Attribute] = []
     converters: list[Converter] | None = None  # one per attribute, from @data on
-    rows: list[list[float]] = []
+    # One float64 array per row: a row's Python floats live only while it is
+    # parsed.
+    rows: list[np.ndarray] = []
     for lineno, raw in enumerate(_read_text(arff_source).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
         if converters is not None:
-            rows.append(_parse_row(line, lineno, converters))
+            rows.append(np.array(_parse_row(line, lineno, converters), dtype=np.float64))
             continue
         lowered = line.lower()
         if lowered.startswith("@relation"):
@@ -383,7 +392,7 @@ def load_mulan(
                 f"label attribute {attr.name!r} must be nominal with values in {{0,1}}"
             )
     feature_cols = [i for i, a in enumerate(attributes) if a.name not in label_names]
-    table = np.array(rows, dtype=np.float64)
+    table = np.stack(rows)
     return MultiLabelDataset(
         features=table[:, feature_cols],
         labels=table[:, label_cols],

@@ -233,13 +233,15 @@ def _train_round(
     """Build one round: an optional bootstrap, then one chain over the labels
     in random order or one single-link chain per label.
 
-    The bootstrap is drawn once. An undersampled round drops the labels that
-    are single-class in it, and a round left with no labels trains nothing.
+    The bootstrap is drawn once, as row ids that each chain gathers into its
+    own buffers. An undersampled round drops the labels that are
+    single-class in it, and a round left with no labels trains nothing.
     """
+    rows = None
     if method.bagged:
-        ds = bootstrap(ds, stream.child(_BOOT, 0))
+        rows = bootstrap(ds, stream.child(_BOOT, 0))
         if method.undersampled:
-            column_sums = ds.labels.sum(axis=0)
+            column_sums = ds.labels[rows].sum(axis=0)
             labels = tuple(j for j in labels if 0 < column_sums[j] < ds.n)
             if not labels:
                 return []
@@ -248,7 +250,7 @@ def _train_round(
     else:
         chains = [ChainSpec((label,)) for label in labels]
     if not method.undersampled:
-        return [train_cc(ds, chain, tree) for chain in chains]
+        return [train_cc(ds, chain, tree, rows) for chain in chains]
     # Link k of a bagged round, counting across its chains, undersamples from
     # child(_TRAIN, k). An unbagged round holds one label, which undersamples
     # from the substream a bootstrap would have drawn.
@@ -258,7 +260,7 @@ def _train_round(
         streams = [stream.child(_BOOT)]
     models = []
     for chain in chains:
-        models.append(train_ccru(ds, chain, tree, streams[: len(chain)]))
+        models.append(train_ccru(ds, chain, tree, streams[: len(chain)], rows))
         streams = streams[len(chain) :]
     return models
 

@@ -19,6 +19,13 @@ those codes, so a fit sorts 16-bit codes, which numpy radix-sorts, instead
 of doubles. Every node carries its rows' ids, codes and targets in that
 layout, and a split partitions them stably, so no node sorts again. Values
 are read only at the chosen split, for its threshold.
+
+Memory is bounded as in those designs. A node is searched, and split, in
+blocks of consecutive features that hold at most SEARCH_CELLS list entries,
+so the search's float temporaries and the partition's index arrays are
+sized by the block, not by d x n. At its peak a fit holds about 14 bytes
+per (feature, row), the root's lists and those of its children, plus about
+2 MB of block buffers; searching every feature at once held about 60 bytes.
 """
 
 from __future__ import annotations
@@ -69,6 +76,71 @@ class BinaryModel:
         return self.feature.shape[0]
 
 
+# Most list entries that one step of the search works on. A node's features
+# are searched, and a split partitions them, in blocks of consecutive
+# features holding at most this many (feature, row) entries, so the work
+# buffers are sized by the block and not by the width of the data. Smaller
+# blocks cost numpy calls per node; larger ones cost memory per fit. At
+# 2**16, a fit on 1,200 rows x 300 features peaks at 23 bytes per entry
+# (33 at 2**17, 46 at 2**18) and takes no longer than at 2**17 or 2**18.
+SEARCH_CELLS = 1 << 16
+
+
+def _presort(ranks: np.ndarray, y: np.ndarray) -> tuple:
+    """The root's (ids, codes, targets) lists, row f sorted by feature f.
+
+    Sorted one block of features at a time; joining the blocks' lists at the
+    end holds two copies of them, as a split of the root does.
+    """
+    n, d = ranks.shape
+    step = max(1, SEARCH_CELLS // n)
+    blocks = []
+    for f0 in range(0, d, step):
+        columns = np.ascontiguousarray(ranks[:, f0 : f0 + step].T)
+        order = columns.argsort(axis=1, kind="stable")
+        codes = columns.take(order + np.arange(0, columns.size, n)[:, None])
+        ids = order.astype(np.int32)
+        blocks.append((ids, codes, y.take(ids)))
+    return blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
+
+
+def _split_lists(lists: tuple, goes_left: np.ndarray, left_n: int, sides: tuple) -> tuple:
+    """The left and right children's (ids, codes, targets) lists, None for a
+    side that sides[0] or sides[1] does not ask for. A child keeps the
+    entries of its rows in list order, so its lists stay sorted."""
+    nf, m = lists[0].shape
+    mask = goes_left.take(lists[0]).ravel()
+    left = right = None
+    if sides[0]:
+        keep = mask.nonzero()[0]
+        left = tuple(a.take(keep).reshape(nf, left_n) for a in lists)
+    if sides[1]:
+        keep = (~mask).nonzero()[0]
+        right = tuple(a.take(keep).reshape(nf, m - left_n) for a in lists)
+    return left, right
+
+
+def _partition(
+    lists: tuple, goes_left: np.ndarray, left_n: int, sides: tuple, step: int
+) -> tuple:
+    """_split_lists of a node of several blocks of step features: it fills
+    its children's lists block by block, so the temporaries stay within a
+    block."""
+    d, m = lists[0].shape
+    children = tuple(
+        tuple(np.empty((d, size), dtype=a.dtype) for a in lists) if wanted else None
+        for wanted, size in zip(sides, (left_n, m - left_n))
+    )
+    for f0 in range(0, d, step):
+        block = slice(f0, f0 + step)
+        parts = _split_lists(tuple(a[block] for a in lists), goes_left, left_n, sides)
+        for child, part in zip(children, parts):
+            if child is not None:
+                for out, piece in zip(child, part):
+                    out[block] = piece
+    return children
+
+
 def fit_tree(
     bd: BinaryDataset, spec: TreeSpec, ranks: np.ndarray | None = None
 ) -> BinaryModel:
@@ -78,9 +150,12 @@ def fit_tree(
     bd.features and are equal where they are, such as rank_codes of these
     rows or of any superset; it is computed here when not given. Each node
     carries (d, m) arrays of its row ids, codes and targets, row f sorted by
-    feature f. The search scans the prefix sums of positives along every row
-    at once; a split partitions the three arrays stably, so the children
-    need no sort and no gather from the full matrix.
+    feature f. The search scans the prefix sums of positives along the rows
+    of one feature block at a time (see SEARCH_CELLS); a split partitions
+    the three arrays stably, so the children need no sort and no gather from
+    the full matrix. The lists take 7 bytes per (feature, row); a split
+    holds its node's and its children's, so a fit peaks near 14 plus the
+    block-sized buffers.
     """
     if bd.n == 0:
         raise ValueError("cannot fit a tree on an empty dataset")
@@ -120,28 +195,26 @@ def fit_tree(
             and m >= 2 * min_leaf
         )
 
-    # Work buffers for the search, sized for the root. A node of m rows has
-    # k = m - 2*min_leaf + 1 candidate positions lo..hi-1: the split after
-    # position i leaves i+1 rows left and m-i-1 right, both >= min_leaf.
+    # Work buffers for one block of the search: a block of the root holds at
+    # most max(SEARCH_CELLS, n) list entries, and no node has more rows. A
+    # node of m rows has k = m - 2*min_leaf + 1 candidate positions
+    # lo..hi-1: the split after position i leaves i+1 rows left and m-i-1
+    # right, both >= min_leaf.
     counts = np.arange(n + 1, dtype=np.float64)
     twice = 2.0 * counts
-    size = d * max(n - 2 * min_leaf + 1, 0)
-    cum_buf = np.empty(d * n, dtype=np.int32)
+    size = min(d * n, max(SEARCH_CELLS, n))
+    cum_buf = np.empty(size, dtype=np.int32)
     gini_buf = np.empty(size)
     other_buf = np.empty(size)
     tmp_buf = np.empty(size)
-    tie_buf = np.empty(d * n, dtype=bool)
+    tie_buf = np.empty(size, dtype=bool)
     goes_left = np.empty(n, dtype=bool)
 
     pos = int(y.sum())
     root = new_node(pos, n)
     lists = None
     if splittable(pos, n, 0):
-        columns = np.ascontiguousarray(ranks.T)
-        order = columns.argsort(axis=1, kind="stable")
-        sorted_codes = columns.take(order + np.arange(0, d * n, n)[:, None])
-        ids = order.astype(np.int32)
-        lists = (ids, sorted_codes, y.take(ids))
+        lists = _presort(ranks, y)
     # Explicit stack: unlimited-depth trees can exceed the recursion limit.
     # A node pushed without lists is a leaf.
     stack = [(root, lists, 0, pos)]
@@ -154,37 +227,52 @@ def fit_tree(
         m = ids.shape[1]
         lo, hi = min_leaf - 1, m - min_leaf
         k = hi - lo
-        cum = tgt.cumsum(axis=1, dtype=np.int32, out=cum_buf[: d * m].reshape(d, m))
-        left_pos = cum[:, lo:hi]
-        # Weighted Gini, operation for operation as
-        # (ln*2*pl*(1-pl) + rn*2*pr*(1-pr)) / m, so ties compare exactly.
-        gini = gini_buf[: d * k].reshape(d, k)
-        other = other_buf[: d * k].reshape(d, k)
-        tmp = tmp_buf[: d * k].reshape(d, k)
-        np.divide(left_pos, counts[min_leaf : hi + 1], out=gini)
-        np.subtract(1.0, gini, out=tmp)
-        np.multiply(gini, twice[min_leaf : hi + 1], out=gini)
-        np.multiply(gini, tmp, out=gini)
-        np.subtract(pos, left_pos, out=other)
-        np.divide(other, counts[hi:lo:-1], out=other)
-        np.subtract(1.0, other, out=tmp)
-        np.multiply(other, twice[hi:lo:-1], out=other)
-        np.multiply(other, tmp, out=other)
-        np.add(gini, other, out=gini)
-        np.divide(gini, m, out=gini)
-        # A split between equal codes is not a candidate: add 1 there, above
-        # any weighted Gini (at most 0.5), leaving the others exact. Comparing
-        # the flattened lists is one contiguous pass; the pairs that straddle
-        # two features' lists fall outside the candidate columns.
-        flat = codes.ravel()
-        np.equal(flat[:-1], flat[1:], out=tie_buf[: d * m - 1])
-        np.add(gini, tie_buf[: d * m].reshape(d, m)[:, lo:hi], out=gini)
-        # C-order argmin: lowest feature first, then lowest position.
-        best = int(gini.argmin())
-        if gini.flat[best] >= 1.0:
+        # The running best starts at 1.0, which no candidate reaches. A later
+        # block must be strictly better, so ties keep the lowest feature.
+        best_gini = 1.0
+        # Features per block: as many lists as SEARCH_CELLS entries hold.
+        step = max(1, SEARCH_CELLS // m)
+        for f0 in range(0, d, step):
+            nf = min(step, d - f0)
+            cum = tgt[f0 : f0 + nf].cumsum(
+                axis=1, dtype=np.int32, out=cum_buf[: nf * m].reshape(nf, m)
+            )
+            left_pos = cum[:, lo:hi]
+            # Weighted Gini, operation for operation as
+            # (ln*2*pl*(1-pl) + rn*2*pr*(1-pr)) / m, so ties compare exactly.
+            gini = gini_buf[: nf * k].reshape(nf, k)
+            other = other_buf[: nf * k].reshape(nf, k)
+            tmp = tmp_buf[: nf * k].reshape(nf, k)
+            np.divide(left_pos, counts[min_leaf : hi + 1], out=gini)
+            np.subtract(1.0, gini, out=tmp)
+            np.multiply(gini, twice[min_leaf : hi + 1], out=gini)
+            np.multiply(gini, tmp, out=gini)
+            np.subtract(pos, left_pos, out=other)
+            np.divide(other, counts[hi:lo:-1], out=other)
+            np.subtract(1.0, other, out=tmp)
+            np.multiply(other, twice[hi:lo:-1], out=other)
+            np.multiply(other, tmp, out=other)
+            np.add(gini, other, out=gini)
+            np.divide(gini, m, out=gini)
+            # A split between equal codes is not a candidate: add 1 there,
+            # above any weighted Gini (at most 0.5), leaving the others exact.
+            # Comparing the flattened lists is one contiguous pass; the pairs
+            # that straddle two features' lists fall outside the candidate
+            # columns.
+            flat = codes[f0 : f0 + nf].ravel()
+            np.equal(flat[:-1], flat[1:], out=tie_buf[: nf * m - 1])
+            np.add(gini, tie_buf[: nf * m].reshape(nf, m)[:, lo:hi], out=gini)
+            # C-order argmin: lowest feature first, then lowest position.
+            i = int(gini.argmin())
+            value = gini.flat[i]
+            if value < best_gini:
+                best_gini = value
+                feat, at = divmod(i, k)
+                at += lo
+                lpos = int(cum[feat, at])
+                feat += f0
+        if best_gini >= 1.0:
             continue
-        feat, at = divmod(best, k)
-        at += lo
         # The codes differ across the boundary, so the values do: low < high.
         low = float(X[ids[feat, at], feat])
         high = float(X[ids[feat, at + 1], feat])
@@ -197,7 +285,6 @@ def fit_tree(
         # The left child is the prefix of feature feat's list up to the boundary.
         left_n = at + 1
         right_n = m - left_n
-        lpos = int(cum[feat, at])
         rpos = pos - lpos
         feature[node] = feat
         threshold[node] = thr
@@ -206,19 +293,15 @@ def fit_tree(
         left[node] = lchild
         right[node] = rchild
         # Children that will be leaves get no lists.
+        sides = (splittable(lpos, left_n, depth + 1), splittable(rpos, right_n, depth + 1))
         left_lists = right_lists = None
-        split_left = splittable(lpos, left_n, depth + 1)
-        split_right = splittable(rpos, right_n, depth + 1)
-        if split_left or split_right:
+        if any(sides):
             goes_left[ids[feat, :left_n]] = True
             goes_left[ids[feat, left_n:]] = False
-            mask = goes_left.take(ids).ravel()
-            if split_left:
-                keep = mask.nonzero()[0]
-                left_lists = tuple(a.take(keep).reshape(d, left_n) for a in lists)
-            if split_right:
-                keep = (~mask).nonzero()[0]
-                right_lists = tuple(a.take(keep).reshape(d, right_n) for a in lists)
+            if step >= d:
+                left_lists, right_lists = _split_lists(lists, goes_left, left_n, sides)
+            else:
+                left_lists, right_lists = _partition(lists, goes_left, left_n, sides, step)
         stack.append((lchild, left_lists, depth + 1, lpos))
         stack.append((rchild, right_lists, depth + 1, rpos))
 

@@ -82,11 +82,12 @@ class BinaryDataset:
         return self.n - self.positive_count
 
 
-def bootstrap(ds: MultiLabelDataset, rng: RngStream) -> MultiLabelDataset:
-    """Resample n rows uniformly with replacement, keeping row pairing."""
+def bootstrap(ds: MultiLabelDataset, rng: RngStream) -> np.ndarray:
+    """The row ids of a resample of n rows drawn uniformly with replacement,
+    in draw order. Callers gather the rows they need, so a bagged round
+    holds no copy of the dataset beside its chain buffers."""
     gen = rng.generator()
-    indices = gen.integers(0, ds.n, size=ds.n)
-    return ds.take_rows(indices)
+    return gen.integers(0, ds.n, size=ds.n)
 
 
 def random_undersample(targets: np.ndarray, rng: RngStream) -> np.ndarray:

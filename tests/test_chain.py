@@ -217,3 +217,23 @@ def test_predict_chain_batch_matches_hstack_reference():
         got = [(label, preds.tolist()) for label, preds in predict_chain_batch(chain, X)]
         assert got == expected
     assert max(len(chain.links) for chain in model.chains) == ds.q
+
+
+@pytest.mark.parametrize("undersampled", [False, True])
+def test_chain_from_row_ids_equals_chain_on_taken_rows(undersampled):
+    # A bagged round hands its chains bootstrap row ids; each chain gathers
+    # them into its own buffers instead of training on a bootstrap copy.
+    ds = make_dataset(90, [0.5, 0.3, 0.2], noise_features=3, seed=8)
+    ds.ranks
+    rows = np.random.default_rng(9).integers(0, ds.n, size=ds.n)
+    taken = ds.take_rows(rows)
+    for chain in (ChainSpec((2, 0, 1)), ChainSpec((1,))):
+        if undersampled:
+            streams = _link_streams(RngStream(4, (1,)), len(chain))
+            got = train_ccru(ds, chain, UNLIMITED, streams, rows)
+            want = train_ccru(taken, chain, UNLIMITED, streams)
+        else:
+            got = train_cc(ds, chain, UNLIMITED, rows)
+            want = train_cc(taken, chain, UNLIMITED)
+        assert chain_to_dict(got) == chain_to_dict(want)
+        assert got.base_arity == ds.d

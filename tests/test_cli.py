@@ -68,6 +68,47 @@ def test_stats_malformed_arff_exits_3(runner, tmp_path):
     assert json.loads(result.stderr.strip().splitlines()[-1])["error"] == "MalformedArff"
 
 
+def test_stats_non_utf8_arff_exits_3(runner, dataset_files, tmp_path):
+    # A Latin-1 attribute name: byte 0xE9 is not UTF-8.
+    arff, xml = dataset_files
+    data = Path(arff).read_bytes()
+    at = data.index(b"@attribute") + len(b"@attribute x")
+    bad = tmp_path / "latin1.arff"
+    bad.write_bytes(data[:at] + b"\xe9" + data[at:])
+    for command in ("stats", "cv"):
+        args = [command, "--arff", str(bad), "--xml", xml]
+        if command == "cv":
+            args += ["--out-dir", str(tmp_path / "out"), "--methods", "BR"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"] == "MalformedArff"
+        assert "latin1.arff" in record["message"]
+        assert f"offset {at}" in record["message"] and "0xe9" in record["message"]
+
+
+def test_stats_non_utf8_xml_exits_3(runner, dataset_files, tmp_path):
+    arff, _ = dataset_files
+    bad = tmp_path / "latin1.xml"
+    bad.write_bytes(b'<labels><label name="L\xe90"/></labels>')
+    result = runner.invoke(main, ["stats", "--arff", arff, "--xml", str(bad)])
+    assert result.exit_code == 3, result.output
+    record = json.loads(result.stderr.strip().splitlines()[-1])
+    assert record["error"] == "MalformedArff"
+    assert "latin1.xml" in record["message"] and "offset 22" in record["message"]
+
+
+def test_stats_utf8_names_with_bom_load(runner, dataset_files, tmp_path):
+    # UTF-8 is read whatever the locale, and a leading BOM is dropped.
+    arff, xml = dataset_files
+    text = Path(arff).read_text(encoding="utf-8").replace("@attribute x0", "@attribute x\u00e9", 1)
+    good = tmp_path / "utf8.arff"
+    good.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    result = runner.invoke(main, ["stats", "--arff", str(good), "--xml", xml])
+    assert result.exit_code == 0, result.output
+    assert "n=60 d=5 q=2" in result.output
+
+
 def test_stats_out_of_range_keep_fraction_exits_2(runner, dataset_files):
     arff, xml = dataset_files
     result = runner.invoke(

@@ -398,7 +398,7 @@ def test_ecc_single_label_equals_bagged_trees():
     probe = make_dataset(25, [0.5], seed=15).features
     expected = np.zeros(25)
     for i in range(c):
-        sample = bootstrap(ds, RngStream(seed).child(i, 0, 0))
+        sample = ds.take_rows(bootstrap(ds, RngStream(seed).child(i, 0, 0)))
         tree = fit_tree(BinaryDataset(sample.features, sample.labels[:, 0]), TreeSpec())
         expected += predict_batch(tree, probe)
     expected /= c

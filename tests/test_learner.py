@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainbalance.learner as learner_module
 from chainbalance.dataset import Attribute, MultiLabelDataset, rank_codes
 from chainbalance.errors import ArityMismatch
 from chainbalance.learner import TreeSpec, fit_tree, predict_batch, tree_to_dict
@@ -194,6 +198,72 @@ def test_fit_tree_matches_reference_kernel(kind, n, d, min_leaf, max_depth, code
     bd = BinaryDataset(X, y)
     spec = TreeSpec(max_depth=max_depth, min_samples_leaf=min_leaf)
     assert tree_to_dict(fit_tree(bd, spec, ranks)) == tree_to_dict(reference_fit_tree(bd, spec))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["continuous", "integer", "bootstrap", "adjacent"]),
+    st.sampled_from([1, 7, 64, None]),
+    st.integers(1, 40),
+    st.integers(1, 12),
+    st.integers(1, 4),
+    st.sampled_from([None, 0, 1, 2, 4]),
+    st.integers(0, 2**32 - 1),
+)
+def test_blocked_search_matches_reference_kernel(kind, cells, n, d, min_leaf, max_depth, seed):
+    # Blocks of one feature (1 and 7 list entries), of several (64) and the
+    # default: the running best must keep the reference's lowest-feature,
+    # lowest-threshold choice across blocks.
+    gen = np.random.default_rng(seed)
+    X = _features(kind, n, d, gen)
+    if d > 2:
+        X[:, d - 1] = X[:, gen.integers(0, d - 1)]  # an equal split in a later block
+    y = (gen.random(n) < gen.random()).astype(np.int8)
+    bd = BinaryDataset(X, y)
+    spec = TreeSpec(max_depth=max_depth, min_samples_leaf=min_leaf)
+    cells = learner_module.SEARCH_CELLS if cells is None else cells
+    with mock.patch.object(learner_module, "SEARCH_CELLS", cells):
+        model = fit_tree(bd, spec, rank_codes(X))
+    assert tree_to_dict(model) == tree_to_dict(reference_fit_tree(bd, spec))
+
+
+def test_root_spanning_several_blocks_matches_reference():
+    # 600 rows x 250 features is about 2.3 blocks of SEARCH_CELLS entries at
+    # the root. The signal column is copied into the second and third
+    # blocks, so the best split appears three times: the lowest copy wins.
+    n, d = 600, 250
+    per_block = learner_module.SEARCH_CELLS // n
+    assert d > 2 * per_block
+    gen = np.random.default_rng(3)
+    X = gen.normal(size=(n, d)).round(3)
+    y = (X[:, 0] + 0.3 * gen.normal(size=n) > 0.4).astype(np.int8)
+    first, second = per_block + 10, 2 * per_block + 5
+    X[:, first] = X[:, second] = X[:, 0] * 10.0
+    X[:, 0] = gen.normal(size=n)
+    bd = BinaryDataset(X, y)
+    spec = TreeSpec(max_depth=3)
+    model = fit_tree(bd, spec, rank_codes(X))
+    assert model.feature[0] == first
+    assert tree_to_dict(model) == tree_to_dict(reference_fit_tree(bd, spec))
+
+
+def test_fit_memory_is_bounded_per_feature_row():
+    # The root's lists (7 bytes per feature and row), its children's (7
+    # more) and block-sized buffers; a search over all features at once
+    # would hold about 60 bytes.
+    n, d = 1200, 300
+    gen = np.random.default_rng(0)
+    X = gen.normal(size=(n, d)).round(6)
+    y = (X[:, 0] + X[:, 3] + gen.normal(size=n) > 1.0).astype(np.int8)
+    bd, ranks = BinaryDataset(X, y), rank_codes(X)
+    tracemalloc.start()
+    try:
+        model = fit_tree(bd, TreeSpec(), ranks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.node_count > 100
+    assert peak < 30 * n * d
 
 
 def _stable_order(X: np.ndarray) -> np.ndarray:

@@ -47,7 +47,9 @@ def test_derive_seed_stable():
 
 def test_bootstrap_single_row():
     ds = make_dataset(1, [1.0], ensure_both_classes=False)
-    out = bootstrap(ds, RngStream(0))
+    rows = bootstrap(ds, RngStream(0))
+    assert rows.tolist() == [0]
+    out = ds.take_rows(rows)
     assert out.n == 1
     assert np.array_equal(out.features, ds.features)
 
@@ -57,8 +59,20 @@ def test_bootstrap_deterministic():
     stream = RngStream(7, (4,))
     a = bootstrap(ds, stream)
     b = bootstrap(ds, stream)
-    assert np.array_equal(a.features, b.features)
-    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a, b)
+    assert np.array_equal(ds.take_rows(a).features, ds.take_rows(b).features)
+    assert np.array_equal(ds.take_rows(a).labels, ds.take_rows(b).labels)
+
+
+def test_bootstrap_returns_row_ids_in_draw_order():
+    # n draws with replacement, neither sorted nor deduplicated.
+    ds = make_dataset(40, [0.3], seed=3)
+    stream = RngStream(11, (2, 0))
+    rows = bootstrap(ds, stream)
+    assert np.array_equal(rows, stream.generator().integers(0, ds.n, size=ds.n))
+    assert rows.shape == (ds.n,) and rows.dtype == np.int64
+    assert rows.min() >= 0 and rows.max() < ds.n
+    assert np.unique(rows).size < ds.n and (np.diff(rows) < 0).any()
 
 
 def test_bootstrap_distinct_fraction():
@@ -75,8 +89,8 @@ def test_bootstrap_distinct_fraction():
     total = 0.0
     runs = 10_000
     for i in range(runs):
-        sample = bootstrap(ds, root.child(i))
-        total += np.unique(sample.features[:, 0]).size / n
+        rows = bootstrap(ds, root.child(i))
+        total += np.unique(ds.features[rows, 0]).size / n
     expected = 1.0 - (1.0 - 1.0 / n) ** n
     assert abs(total / runs - expected) < 0.01
     assert abs(total / runs - 0.632) < 0.01
