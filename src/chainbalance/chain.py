@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import MultiLabelDataset
 from .errors import ArityMismatch, SingleClassLabel
-from .learner import BinaryModel, TreeSpec, fit_tree, predict_batch, tree_to_dict
+from .learner import BinaryModel, TreeSpec, fit_tree, predict_batch
 from .sampling import BinaryDataset, RngStream, random_undersample
 
 
@@ -185,12 +185,3 @@ def predict_chain_batch(model: ChainModel, X: np.ndarray) -> list[tuple[int, np.
             features[:, width] = preds
     return votes
 
-
-def chain_to_dict(model: ChainModel) -> dict:
-    return {
-        "base_arity": model.base_arity,
-        "links": [
-            {"label": label, "tree": tree_to_dict(tree)} for label, tree in model.links
-        ],
-        "fit_class_counts": [list(c) for c in model.fit_class_counts],
-    }

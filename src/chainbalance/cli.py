@@ -173,8 +173,14 @@ def cv(ctx: click.Context, config_path: Path | None, **_: object) -> None:
     def body() -> None:
         file_values: dict = {}
         if config_path is not None:
+            data = config_path.read_bytes()
             try:
-                file_values = json.loads(config_path.read_text())
+                file_values = json.loads(data.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ConfigError(
+                    f"bad config file: not UTF-8: byte 0x{data[exc.start]:02x} "
+                    f"at offset {exc.start}"
+                ) from exc
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"bad config file: {exc}") from exc
             if not isinstance(file_values, dict):

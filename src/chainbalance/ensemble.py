@@ -25,7 +25,6 @@ import numpy as np
 from .chain import (
     ChainModel,
     ChainSpec,
-    chain_to_dict,
     predict_chain_batch,
     train_cc,
     train_ccru,
@@ -34,7 +33,6 @@ from .dataset import MultiLabelDataset, all_label_stats
 from .errors import (
     ArityMismatch,
     ConfigError,
-    NoTrainableLabels,
     ZeroMinorityCount,
 )
 from .learner import TreeSpec
@@ -80,8 +78,6 @@ METHODS = tuple(_METHOD_TABLE)
 _BOOT = 0
 _PERMUTE = 1
 _TRAIN = 2
-
-MODEL_SCHEMA = "chainbalance.model.v1"
 
 
 @dataclass(frozen=True)
@@ -280,8 +276,9 @@ def train_ensemble(
     """Train the configured method on a dataset.
 
     Single-class labels are excluded from every chain and served by constant
-    predictions. The method's switches turn into a list of rounds, each a
-    tuple of labels: one round per label when unbagged, else the
+    predictions; when every label is, the model holds no chains. The
+    method's switches turn into a list of rounds, each a tuple of labels:
+    one round per label when unbagged, else the
     chain_label_sets of per-label classifier counts, which are c for every
     label or, for ECCRU2/3 with two or more labels, the classifier budget.
     Rounds may run concurrently, and each derives its own substream from
@@ -297,8 +294,6 @@ def train_ensemble(
         if s.minority_count == 0
     }
     eligible = [s.label_index for s in stats if s.minority_count > 0]
-    if not eligible:
-        raise NoTrainableLabels("every label is single-class")
     method = _METHOD_TABLE[spec.method]
     if not method.bagged:
         rounds = [(label,) for label in eligible]
@@ -375,19 +370,3 @@ def instance_budget(ds: MultiLabelDataset, model: EnsembleModel) -> int:
         for k, count in enumerate(model.vote_counts)
     )
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def ensemble_to_dict(model: EnsembleModel) -> dict:
-    return {
-        "schema": MODEL_SCHEMA,
-        "method": model.method,
-        "q": model.q,
-        "base_arity": model.base_arity,
-        "vote_counts": model.vote_counts.tolist(),
-        "skipped_labels": {str(k): v for k, v in model.skipped_labels.items()},
-        "chains": [chain_to_dict(chain) for chain in model.chains],
-    }

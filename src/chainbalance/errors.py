@@ -50,10 +50,6 @@ class ZeroMinorityCount(DataError):
     """A minority count of zero where a positive count is required."""
 
 
-class NoTrainableLabels(DataError):
-    """No label has both classes present; no model can be trained."""
-
-
 class ArityMismatch(ChainbalanceError):
     """Feature vector length differs from what a model was trained with."""
 

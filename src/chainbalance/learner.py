@@ -58,8 +58,7 @@ class BinaryModel:
     """A fitted tree stored as parallel node arrays.
 
     feature[i] < 0 marks node i as a leaf. Internal nodes route a sample left
-    when value <= threshold. Leaves carry the majority vote (ties predict 1)
-    and the positive-class fraction of the rows that formed them.
+    when value <= threshold. Leaves carry the majority vote (ties predict 1).
     """
 
     feature: np.ndarray
@@ -67,7 +66,6 @@ class BinaryModel:
     left: np.ndarray
     right: np.ndarray
     leaf_value: np.ndarray
-    positive_fraction: np.ndarray
     n_features: int
     depth: int
 
@@ -174,7 +172,6 @@ def fit_tree(
     left: list[int] = []
     right: list[int] = []
     leaf_value: list[int] = []
-    pos_frac: list[float] = []
     max_depth_seen = 0
 
     def new_node(pos: int, n: int) -> int:
@@ -184,7 +181,6 @@ def fit_tree(
         left.append(-1)
         right.append(-1)
         leaf_value.append(1 if 2 * pos >= n else 0)
-        pos_frac.append(pos / n)
         return idx
 
     def splittable(pos: int, m: int, depth: int) -> bool:
@@ -311,7 +307,6 @@ def fit_tree(
         left=np.array(left, dtype=np.int32),
         right=np.array(right, dtype=np.int32),
         leaf_value=np.array(leaf_value, dtype=np.int8),
-        positive_fraction=np.array(pos_frac, dtype=np.float64),
         n_features=d,
         depth=max_depth_seen,
     )
@@ -335,16 +330,3 @@ def predict_batch(model: BinaryModel, X: np.ndarray) -> np.ndarray:
         node[active] = np.where(go_left, model.left[cur], model.right[cur])
     return model.leaf_value[node].astype(np.int8)
 
-
-def tree_to_dict(model: BinaryModel) -> dict:
-    """JSON-ready representation of a fitted tree."""
-    return {
-        "feature": model.feature.tolist(),
-        "threshold": model.threshold.tolist(),
-        "left": model.left.tolist(),
-        "right": model.right.tolist(),
-        "leaf_value": model.leaf_value.tolist(),
-        "positive_fraction": model.positive_fraction.tolist(),
-        "n_features": model.n_features,
-        "depth": model.depth,
-    }

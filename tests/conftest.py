@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,26 @@ def make_dataset(
         feature_kinds=tuple(Attribute(f"x{i}") for i in range(features.shape[1])),
         relation=relation,
     )
+
+
+def model_payload(model):
+    """A fitted model as nested JSON-ready lists and dicts, one key per field.
+
+    Walks dataclasses.fields, so comparing or hashing payloads sees every
+    field of BinaryModel, ChainModel and EnsembleModel without a key list to
+    keep in step with them. Arrays and tuples become lists.
+    """
+    if dataclasses.is_dataclass(model):
+        return {
+            f.name: model_payload(getattr(model, f.name)) for f in dataclasses.fields(model)
+        }
+    if isinstance(model, np.ndarray):
+        return model.tolist()
+    if isinstance(model, (tuple, list)):
+        return [model_payload(value) for value in model]
+    if isinstance(model, dict):
+        return {key: model_payload(value) for key, value in model.items()}
+    return model
 
 
 def dataset_with_label_counts(

@@ -81,7 +81,6 @@ def fit_tree(bd: BinaryDataset, spec: TreeSpec) -> BinaryModel:
     left: list[int] = []
     right: list[int] = []
     leaf_value: list[int] = []
-    pos_frac: list[float] = []
     max_depth_seen = 0
 
     def new_node(pos: int, n: int) -> int:
@@ -91,7 +90,6 @@ def fit_tree(bd: BinaryDataset, spec: TreeSpec) -> BinaryModel:
         left.append(-1)
         right.append(-1)
         leaf_value.append(1 if 2 * pos >= n else 0)
-        pos_frac.append(pos / n)
         return idx
 
     # order holds, per feature column, the node's row ids sorted by that
@@ -137,7 +135,6 @@ def fit_tree(bd: BinaryDataset, spec: TreeSpec) -> BinaryModel:
         left=np.array(left, dtype=np.int32),
         right=np.array(right, dtype=np.int32),
         leaf_value=np.array(leaf_value, dtype=np.int8),
-        positive_fraction=np.array(pos_frac, dtype=np.float64),
         n_features=X.shape[1],
         depth=max_depth_seen,
     )

@@ -7,7 +7,6 @@ import chainbalance.chain as chain_module
 from chainbalance.chain import (
     ChainModel,
     ChainSpec,
-    chain_to_dict,
     predict_chain_batch,
     train_cc,
     train_ccru,
@@ -15,9 +14,9 @@ from chainbalance.chain import (
 from chainbalance.dataset import Attribute, MultiLabelDataset
 from chainbalance.ensemble import EnsembleSpec, train_ensemble
 from chainbalance.errors import ArityMismatch, SingleClassLabel
-from chainbalance.learner import TreeSpec, fit_tree, predict_batch, tree_to_dict
+from chainbalance.learner import TreeSpec, fit_tree, predict_batch
 from chainbalance.sampling import BinaryDataset, RngStream
-from conftest import dataset_with_label_counts, make_dataset
+from conftest import dataset_with_label_counts, make_dataset, model_payload
 
 UNLIMITED = TreeSpec(max_depth=None, min_samples_leaf=1)
 
@@ -57,7 +56,7 @@ def test_train_cc_single_label_matches_plain_tree():
     chain = train_cc(ds, ChainSpec((0,)), UNLIMITED)
     assert chain.label_sequence == (0,)
     plain = fit_tree(BinaryDataset(ds.features, ds.labels[:, 0]), UNLIMITED)
-    assert tree_to_dict(chain.links[0][1]) == tree_to_dict(plain)
+    assert model_payload(chain.links[0][1]) == model_payload(plain)
 
 
 def test_train_cc_arity_progression():
@@ -160,7 +159,7 @@ def test_train_ccru_deterministic():
     ds = make_dataset(60, [0.2, 0.4], seed=12)
     a = train_ccru(ds, ChainSpec((1, 0)), UNLIMITED, _link_streams(RngStream(6, (2,)), 2))
     b = train_ccru(ds, ChainSpec((1, 0)), UNLIMITED, _link_streams(RngStream(6, (2,)), 2))
-    assert chain_to_dict(a) == chain_to_dict(b)
+    assert model_payload(a) == model_payload(b)
 
 
 def test_copied_labels_vote_identically():
@@ -192,7 +191,7 @@ def test_chain_links_fit_on_presorted_orders(method, monkeypatch):
         for codes, values in zip(ranks.T, bd.features.T):
             assert np.array_equal(codes[:, None] == codes, values[:, None] == values)
         model = real_fit(bd, spec, ranks)
-        assert tree_to_dict(model) == tree_to_dict(real_fit(bd, spec))
+        assert model_payload(model) == model_payload(real_fit(bd, spec))
         fitted.append(bd.n)
         return model
 
@@ -235,5 +234,5 @@ def test_chain_from_row_ids_equals_chain_on_taken_rows(undersampled):
         else:
             got = train_cc(ds, chain, UNLIMITED, rows)
             want = train_cc(taken, chain, UNLIMITED)
-        assert chain_to_dict(got) == chain_to_dict(want)
+        assert model_payload(got) == model_payload(want)
         assert got.base_arity == ds.d

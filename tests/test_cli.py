@@ -264,6 +264,16 @@ def test_cv_config_wrong_type_exits_2(runner, dataset_files, tmp_path, override,
     assert record["message"].startswith(key)
 
 
+def test_cv_non_utf8_config_exits_2(runner, tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(b'{"methods": "BR\xff"}')
+    result = runner.invoke(main, ["cv", "--config", str(config_path)])
+    assert result.exit_code == 2, result.output
+    record = json.loads(result.stderr.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError"
+    assert record["message"] == "bad config file: not UTF-8: byte 0xff at offset 15"
+
+
 def test_cv_missing_required_exits_2(runner):
     result = runner.invoke(main, ["cv", "--methods", "BR"])
     assert result.exit_code == 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from collections import Counter
@@ -10,13 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainbalance.dataset import Attribute, MultiLabelDataset
+from chainbalance.chain import ChainModel
 from chainbalance.ensemble import (
     METHODS,
     EnsembleModel,
     EnsembleSpec,
     chain_label_sets,
     compute_classifier_budget,
-    ensemble_to_dict,
     instance_budget,
     predict_relevance_batch,
     train_ensemble,
@@ -24,12 +25,11 @@ from chainbalance.ensemble import (
 from chainbalance.errors import (
     ArityMismatch,
     ConfigError,
-    NoTrainableLabels,
     ZeroMinorityCount,
 )
-from chainbalance.learner import TreeSpec, fit_tree, predict_batch
+from chainbalance.learner import BinaryModel, TreeSpec, fit_tree, predict_batch
 from chainbalance.sampling import BinaryDataset, RngStream, bootstrap
-from conftest import dataset_with_label_counts, make_dataset
+from conftest import dataset_with_label_counts, make_dataset, model_payload
 
 
 def test_spec_validation():
@@ -277,8 +277,13 @@ def test_no_trainable_labels():
         label_names=("A",),
         feature_kinds=(Attribute("x"),),
     )
-    with pytest.raises(NoTrainableLabels):
-        train_ensemble(ds, EnsembleSpec(method="BR"))
+    # Every label is served by its constant, so the model holds no chains.
+    for method in METHODS:
+        model = train_ensemble(ds, EnsembleSpec(method=method))
+        assert model.chains == (), method
+        assert model.skipped_labels == {0: 0}, method
+        assert model.vote_counts.tolist() == [0], method
+        assert (predict_relevance_batch(model, ds.features) == 0.0).all(), method
 
 
 def _budget(ds: MultiLabelDataset, **spec) -> int:
@@ -365,7 +370,7 @@ def test_rare_label_property(rare, common, c, seed):
             for chain in model.chains:
                 assert all(pos == neg for pos, neg in chain.fit_class_counts), method
         parallel = train_ensemble(ds, spec, n_jobs=2)
-        assert ensemble_to_dict(model) == ensemble_to_dict(parallel), method
+        assert model_payload(model) == model_payload(parallel), method
 
 
 def test_parallel_training_matches_sequential():
@@ -373,7 +378,7 @@ def test_parallel_training_matches_sequential():
     spec = EnsembleSpec(method="ECCRU3", c=6, seed=11)
     serial = train_ensemble(ds, spec, n_jobs=1)
     parallel = train_ensemble(ds, spec, n_jobs=4)
-    assert ensemble_to_dict(serial) == ensemble_to_dict(parallel)
+    assert model_payload(serial) == model_payload(parallel)
     probe = make_dataset(10, [0.5, 0.5, 0.5], seed=99).features
     assert np.array_equal(
         predict_relevance_batch(serial, probe), predict_relevance_batch(parallel, probe)
@@ -386,7 +391,7 @@ def test_training_deterministic_across_runs():
         spec = EnsembleSpec(method=method, c=4, seed=13)
         a = train_ensemble(ds, spec)
         b = train_ensemble(ds, spec)
-        assert ensemble_to_dict(a) == ensemble_to_dict(b), method
+        assert model_payload(a) == model_payload(b), method
 
 
 def test_ecc_single_label_equals_bagged_trees():
@@ -414,28 +419,28 @@ def test_relevance_arity_checks():
         predict_relevance_batch(model, np.zeros((2, ds.d + 1)))
 
 
-# sha256 of json.dumps(ensemble_to_dict(model), sort_keys=True) and the
+# sha256 of json.dumps(model_payload(model), sort_keys=True) and the
 # instance budget, for every method with c=4 and seed=5. "one_eligible" has a
 # single trainable label next to a single-class one, so ECCRU2/3 fall back to
 # the uniform build.
 PINNED_MODELS = {
     "three_labels": {
-        "BR": ("6abc621155e0b38a4c8b666244db1d61c43e3341b4f03f0adf2bd7854b7e4858", 180),
-        "BRUS": ("f7aa479541850fd89b32eb636a9c4a769ddb687daab9baa946e01b531ed4024d", 96),
-        "EBRUS": ("077b80b7fd84c53107768c5b3b1d455bd5047cfb2d02ca7bd018a024361e20f2", 384),
-        "ECC": ("e5e29352c58307853fffd944d749c31109df277df44ca6569e7e39b05e397e49", 720),
-        "ECCRU": ("bf8607fd48f0aa033446777bf52d1e54f8d60a9adf95c69b1a65a0eb7b68e159", 384),
-        "ECCRU2": ("f8505d5d8dabca533f01022d31eeaaf70b8f9f9b9fcf390e675087115d5585b5", 284),
-        "ECCRU3": ("e4ace68db7344523fdedd3128ec59c1ad6db761296f69e7407066be4095cb09a", 284),
+        "BR": ("1d92599b79d3debea8302a745a8a4b48793dd39681e72e28e23845be4e967e94", 180),
+        "BRUS": ("62f0ebd191a47521e4a4d641ce749452b816ec3100188bdcd5d354558487caf2", 96),
+        "EBRUS": ("69e639a2d5b4ec5741fd3bcc2601f3f1abf2bed8a9d9fbf8af237f801a98a4c2", 384),
+        "ECC": ("10247d58983c5439f0bf56ff577c9cf5776bb76f18d9ab109d589d0bccbe69b5", 720),
+        "ECCRU": ("e9acc3fd3a8829657367ab3f36b0b48fe0d757c789c9b6d08560f82333546d09", 384),
+        "ECCRU2": ("9e78b22d23e63d56cc2609b66c0da15a66599c8a0265f6791d20110358119bdc", 284),
+        "ECCRU3": ("fecb55aad19659f837711650b644c9d11f18907b23d6c32bbc312212fb57a587", 284),
     },
     "one_eligible": {
-        "BR": ("075b7ecb25696c278f3378a69befc83f60733ae5e01f96f35fe9478b7988b51f", 40),
-        "BRUS": ("bc7e86b8805f5bfb2f360d795425032d67d3c30f300ad9b0561ef8a2694c8141", 18),
-        "EBRUS": ("657096cc171303f2fb88bf5ef279b8f77f6843ad9f6ccdc9cf96ae860d90562f", 72),
-        "ECC": ("c37c2f35f6e6d01341579065767882d703db43481af885f6fd62648d9908036e", 160),
-        "ECCRU": ("f4ae34ba8c62e970c05723ca747c63cee0fce6b43d9e440c430c005383491d82", 72),
-        "ECCRU2": ("df37fd8c24b82e5281f8d12aaf942bcf29a083cb3a05c036af456da186f40fc7", 72),
-        "ECCRU3": ("e4a376d8f9d21fce81d094855011db341b868d3d81808028ad7f65e7b54b7246", 72),
+        "BR": ("5713d3b2f9e9143c49dfc974472fd9a7536afcb6eebfab6abc6a125622a6b3d2", 40),
+        "BRUS": ("45a697cea6e1b1afecea138d14877689c82e849b22941b9ff2c160d580d9076c", 18),
+        "EBRUS": ("9cfa2ccb15f3629b1940f92be73a5ddd916421fb128d277f2d91478a32af9250", 72),
+        "ECC": ("baaae97b0e3e33e584d010dd885d0b909dcf7dc48ad542805a81f372cc873039", 160),
+        "ECCRU": ("a3c9b88233ad02f9338c83367b7dbd779c7e7811ce7bdc5b2d34a0635343c86b", 72),
+        "ECCRU2": ("d933bc08694c9aee75ea3c26a1a5b5f27f36f551b0dfc45490d7d71f48205d23", 72),
+        "ECCRU3": ("b4e1e042d73885a50e53ce622448141d3a9afc8e17fb89463357c0fe0cb75aa7", 72),
     },
 }
 
@@ -449,6 +454,54 @@ def test_models_and_budgets_pinned():
         for method, (digest, budget) in PINNED_MODELS[name].items():
             spec = EnsembleSpec(method=method, c=4, seed=5)
             model = train_ensemble(ds, spec)
-            payload = json.dumps(ensemble_to_dict(model), sort_keys=True)
+            payload = json.dumps(model_payload(model), sort_keys=True)
             assert hashlib.sha256(payload.encode()).hexdigest() == digest, (name, method)
             assert instance_budget(ds, model) == budget, (name, method)
+
+
+def _replaced(obj, name: str):
+    """obj with field name set to a different value of the same kind."""
+    value = getattr(obj, name)
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value.flat[0] += 1
+    elif isinstance(value, tuple):
+        value = value[:-1]
+    elif isinstance(value, dict):
+        value = {} if value else {0: 1}
+    elif isinstance(value, str):
+        value += "x"
+    else:
+        value += 1
+    return dataclasses.replace(obj, **{name: value})
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [
+        (cls, f.name)
+        for cls in (BinaryModel, ChainModel, EnsembleModel)
+        for f in dataclasses.fields(cls)
+    ],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_model_payload_sees_every_field(cls, name, monkeypatch):
+    # Changing any one field of the ensemble, of its first chain or of that
+    # chain's first tree changes the payload, so model comparisons and the
+    # pin above cannot miss a field. The arity checks would refuse some of
+    # these changes, so __post_init__ is skipped.
+    ds = make_dataset(40, [0.2, 0.5], seed=17)
+    model = train_ensemble(ds, EnsembleSpec(method="ECCRU", c=2, seed=3))
+    for owner in (ChainModel, EnsembleModel):
+        monkeypatch.setattr(owner, "__post_init__", lambda self: None)
+    chain = model.chains[0]
+    if cls is BinaryModel:
+        (label, tree), *rest = chain.links
+        chain = dataclasses.replace(chain, links=((label, _replaced(tree, name)), *rest))
+    elif cls is ChainModel:
+        chain = _replaced(chain, name)
+    if cls is EnsembleModel:
+        changed = _replaced(model, name)
+    else:
+        changed = dataclasses.replace(model, chains=(chain, *model.chains[1:]))
+    assert model_payload(changed) != model_payload(model)

@@ -18,7 +18,7 @@ from chainbalance.experiment import ExperimentConfig, collect_rank_matrix, run_c
 from chainbalance.learner import TreeSpec
 from chainbalance.metrics import build_report
 from chainbalance.sampling import RngStream, iterative_stratified_kfold
-from conftest import make_dataset, write_dataset_files
+from conftest import dataset_with_label_counts, make_dataset, write_dataset_files
 
 
 def _config(arff, xml, out_dir, **overrides) -> ExperimentConfig:
@@ -131,6 +131,22 @@ def test_run_cv_deterministic_incl_parallel(files, tmp_path):
     b_bytes = (tmp_path / "b" / "cv_results.json").read_bytes()
     assert a_bytes == b_bytes
     assert a == b
+
+
+def test_run_cv_scores_half_without_two_class_label(tmp_path):
+    # One positive in 20 rows: one training half gets none, so every label
+    # there is single-class. That half is scored by its constant instead of
+    # ending the run.
+    ds = dataset_with_label_counts(20, [1])
+    arff, xml = write_dataset_files(ds, tmp_path)
+    payload = run_cv(_config(arff, xml, tmp_path / "out", repeats=1))
+    for method in ("BR", "ECCRU"):
+        folds = payload["methods"][method]["folds"]
+        empty = [f for f in folds if f["report"]["skipped_label_count"] == 1]
+        assert len(empty) == 1, method
+        assert empty[0]["classifier_counts"] == [0]
+        assert empty[0]["instance_budget"] == 0
+        assert empty[0]["report"]["per_label"][0]["auc_roc"] == 0.5
 
 
 def test_run_cv_feature_reduction_applied(files, tmp_path):

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 import chainbalance.learner as learner_module
 from chainbalance.dataset import Attribute, MultiLabelDataset, rank_codes
 from chainbalance.errors import ArityMismatch
-from chainbalance.learner import TreeSpec, fit_tree, predict_batch, tree_to_dict
+from chainbalance.learner import TreeSpec, fit_tree, predict_batch
 from chainbalance.sampling import BinaryDataset
+from conftest import model_payload
 from reference_tree import fit_tree as reference_fit_tree
 
 UNLIMITED = TreeSpec(max_depth=None, min_samples_leaf=1)
@@ -102,7 +103,7 @@ def test_deterministic_fit():
     y = (X[:, 0] + X[:, 1] > 0).astype(np.int8)
     a = fit_tree(BinaryDataset(X, y), UNLIMITED)
     b = fit_tree(BinaryDataset(X, y), UNLIMITED)
-    assert tree_to_dict(a) == tree_to_dict(b)
+    assert model_payload(a) == model_payload(b)
 
 
 def test_row_permutation_invariance():
@@ -112,7 +113,7 @@ def test_row_permutation_invariance():
     perm = gen.permutation(60)
     a = fit_tree(BinaryDataset(X, y), UNLIMITED)
     b = fit_tree(BinaryDataset(X[perm], y[perm]), UNLIMITED)
-    assert tree_to_dict(a) == tree_to_dict(b)
+    assert model_payload(a) == model_payload(b)
 
 
 @settings(max_examples=30, deadline=None)
@@ -149,8 +150,7 @@ def test_huge_values_split_cleanly():
 def test_leaf_class_proportions_recorded():
     model = fit_tree(_bd([0, 1, 2, 3], [0, 0, 1, 1]), TreeSpec())
     root_children = [int(model.left[0]), int(model.right[0])]
-    fractions = sorted(float(model.positive_fraction[i]) for i in root_children)
-    assert fractions == [0.0, 1.0]
+    assert [int(model.leaf_value[i]) for i in root_children] == [0, 1]
 
 
 def test_spec_validation():
@@ -197,7 +197,7 @@ def test_fit_tree_matches_reference_kernel(kind, n, d, min_leaf, max_depth, code
     y = (gen.random(n) < gen.random()).astype(np.int8)
     bd = BinaryDataset(X, y)
     spec = TreeSpec(max_depth=max_depth, min_samples_leaf=min_leaf)
-    assert tree_to_dict(fit_tree(bd, spec, ranks)) == tree_to_dict(reference_fit_tree(bd, spec))
+    assert model_payload(fit_tree(bd, spec, ranks)) == model_payload(reference_fit_tree(bd, spec))
 
 
 @settings(max_examples=200, deadline=None)
@@ -224,7 +224,7 @@ def test_blocked_search_matches_reference_kernel(kind, cells, n, d, min_leaf, ma
     cells = learner_module.SEARCH_CELLS if cells is None else cells
     with mock.patch.object(learner_module, "SEARCH_CELLS", cells):
         model = fit_tree(bd, spec, rank_codes(X))
-    assert tree_to_dict(model) == tree_to_dict(reference_fit_tree(bd, spec))
+    assert model_payload(model) == model_payload(reference_fit_tree(bd, spec))
 
 
 def test_root_spanning_several_blocks_matches_reference():
@@ -244,7 +244,7 @@ def test_root_spanning_several_blocks_matches_reference():
     spec = TreeSpec(max_depth=3)
     model = fit_tree(bd, spec, rank_codes(X))
     assert model.feature[0] == first
-    assert tree_to_dict(model) == tree_to_dict(reference_fit_tree(bd, spec))
+    assert model_payload(model) == model_payload(reference_fit_tree(bd, spec))
 
 
 def test_fit_memory_is_bounded_per_feature_row():
