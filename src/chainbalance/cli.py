@@ -175,11 +175,12 @@ def cv(ctx: click.Context, config_path: Path | None, **_: object) -> None:
         if config_path is not None:
             data = config_path.read_bytes()
             try:
-                file_values = json.loads(data.decode("utf-8"))
+                file_values = json.loads(data.decode("utf-8-sig"))
             except UnicodeDecodeError as exc:
+                # exc.object is the file after any byte-order mark.
+                at = exc.start + len(data) - len(exc.object)
                 raise ConfigError(
-                    f"bad config file: not UTF-8: byte 0x{data[exc.start]:02x} "
-                    f"at offset {exc.start}"
+                    f"bad config file: not UTF-8: byte 0x{data[at]:02x} at offset {at}"
                 ) from exc
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"bad config file: {exc}") from exc

@@ -26,6 +26,19 @@ so the search's float temporaries and the partition's index arrays are
 sized by the block, not by d x n. At its peak a fit holds about 14 bytes
 per (feature, row), the root's lists and those of its children, plus about
 2 MB of block buffers; searching every feature at once held about 60 bytes.
+
+A wide block (more than two features, at least EXTREMES_CELLS entries, at
+most 65,536 rows) evaluates two candidates per position instead of one per
+feature. At the split after a position the children's sizes ln and rn are
+fixed, and m*ln*rn times the weighted Gini is an integer that is strictly
+concave in the left-positive count lp. So at that position any count
+between the smallest and the largest admissible one is worse than one of
+those two by at least 1/(m*ln*rn) >= 4/m**3, which at 65,536 rows is
+1.4e-14, about ten times the float formula's worst rounding: its float Gini
+is never at or below the block's float minimum. The two extremes get the
+same floats as the full scan gives them, so taking the lowest feature, then
+the lowest position, among the entries that equal the minimum chooses the
+same split, and the trees are the same as from the full scan.
 """
 
 from __future__ import annotations
@@ -82,6 +95,15 @@ class BinaryModel:
 # 2**16, a fit on 1,200 rows x 300 features peaks at 23 bytes per entry
 # (33 at 2**17, 46 at 2**18) and takes no longer than at 2**17 or 2**18.
 SEARCH_CELLS = 1 << 16
+
+# Fewest list entries for which a search block of three or more features
+# takes each position's extreme left-positive counts and evaluates the Gini
+# of those alone. The extreme counts cost five integer passes over the block
+# and a few calls to find the winning feature, which save more than they
+# cost from about this size on: on a root search of 24 or 110 features, in
+# two runs, extremes over all-entries time was 1.00-1.26 at 4,096 entries,
+# 0.87-0.95 at 6,144 and 0.81-0.93 at 8,192.
+EXTREMES_CELLS = 6144
 
 
 def _presort(ranks: np.ndarray, y: np.ndarray) -> tuple:
@@ -149,11 +171,16 @@ def fit_tree(
     rows or of any superset; it is computed here when not given. Each node
     carries (d, m) arrays of its row ids, codes and targets, row f sorted by
     feature f. The search scans the prefix sums of positives along the rows
-    of one feature block at a time (see SEARCH_CELLS); a split partitions
-    the three arrays stably, so the children need no sort and no gather from
-    the full matrix. The lists take 7 bytes per (feature, row); a split
-    holds its node's and its children's, so a fit peaks near 14 plus the
-    block-sized buffers.
+    of one feature block at a time (see SEARCH_CELLS). A block of more than
+    two features, at least EXTREMES_CELLS entries and at most 65,536 rows
+    evaluates the Gini only at each position's largest and smallest
+    admissible left-positive count, where alone the minimum can lie, since
+    the weighted Gini is strictly concave in that count; the bound on the
+    rows keeps the concavity margin above the formula's rounding (see the
+    module docstring). A split partitions the three arrays stably, so the
+    children need no sort and no gather from the full matrix. The lists
+    take 7 bytes per (feature, row); a split holds its node's and its
+    children's, so a fit peaks near 14 plus the block-sized buffers.
     """
     if bd.n == 0:
         raise ValueError("cannot fit a tree on an empty dataset")
@@ -199,12 +226,38 @@ def fit_tree(
     counts = np.arange(n + 1, dtype=np.float64)
     twice = 2.0 * counts
     size = min(d * n, max(SEARCH_CELLS, n))
-    cum_buf = np.empty(size, dtype=np.int32)
+    # Left-positive counts, with the wide search's penalty m + 2 added, stay
+    # below 2n + 3, so int16 holds them up to 16,382 rows and halves the bytes
+    # the count passes move.
+    count_type = np.int16 if 2 * n + 2 < 1 << 15 else np.int32
+    cum_buf = np.empty(size, dtype=count_type)
     gini_buf = np.empty(size)
     other_buf = np.empty(size)
     tmp_buf = np.empty(size)
     tie_buf = np.empty(size, dtype=bool)
     goes_left = np.empty(n, dtype=bool)
+
+    def weighted_gini(left_pos: np.ndarray, pos: int, m: int, lo: int, hi: int) -> np.ndarray:
+        """The weighted Gini of the split after each position lo..hi-1 of a
+        node of m rows and pos positives, for each row of left-positive
+        counts, operation for operation as (ln*2*pl*(1-pl) + rn*2*pr*(1-pr))
+        / m, so that equal inputs give equal floats."""
+        rows, k = left_pos.shape[0], hi - lo
+        gini = gini_buf[: rows * k].reshape(rows, k)
+        other = other_buf[: rows * k].reshape(rows, k)
+        tmp = tmp_buf[: rows * k].reshape(rows, k)
+        np.divide(left_pos, counts[lo + 1 : hi + 1], out=gini)
+        np.subtract(1.0, gini, out=tmp)
+        np.multiply(gini, twice[lo + 1 : hi + 1], out=gini)
+        np.multiply(gini, tmp, out=gini)
+        np.subtract(pos, left_pos, out=other)
+        np.divide(other, counts[hi:lo:-1], out=other)
+        np.subtract(1.0, other, out=tmp)
+        np.multiply(other, twice[hi:lo:-1], out=other)
+        np.multiply(other, tmp, out=other)
+        np.add(gini, other, out=gini)
+        np.divide(gini, m, out=gini)
+        return gini
 
     pos = int(y.sum())
     root = new_node(pos, n)
@@ -231,39 +284,56 @@ def fit_tree(
         for f0 in range(0, d, step):
             nf = min(step, d - f0)
             cum = tgt[f0 : f0 + nf].cumsum(
-                axis=1, dtype=np.int32, out=cum_buf[: nf * m].reshape(nf, m)
+                axis=1, dtype=count_type, out=cum_buf[: nf * m].reshape(nf, m)
             )
             left_pos = cum[:, lo:hi]
-            # Weighted Gini, operation for operation as
-            # (ln*2*pl*(1-pl) + rn*2*pr*(1-pr)) / m, so ties compare exactly.
-            gini = gini_buf[: nf * k].reshape(nf, k)
-            other = other_buf[: nf * k].reshape(nf, k)
-            tmp = tmp_buf[: nf * k].reshape(nf, k)
-            np.divide(left_pos, counts[min_leaf : hi + 1], out=gini)
-            np.subtract(1.0, gini, out=tmp)
-            np.multiply(gini, twice[min_leaf : hi + 1], out=gini)
-            np.multiply(gini, tmp, out=gini)
-            np.subtract(pos, left_pos, out=other)
-            np.divide(other, counts[hi:lo:-1], out=other)
-            np.subtract(1.0, other, out=tmp)
-            np.multiply(other, twice[hi:lo:-1], out=other)
-            np.multiply(other, tmp, out=other)
-            np.add(gini, other, out=gini)
-            np.divide(gini, m, out=gini)
-            # A split between equal codes is not a candidate: add 1 there,
-            # above any weighted Gini (at most 0.5), leaving the others exact.
-            # Comparing the flattened lists is one contiguous pass; the pairs
-            # that straddle two features' lists fall outside the candidate
-            # columns.
+            # A split between equal codes is not a candidate. Comparing the
+            # flattened lists is one contiguous pass; the pairs that straddle
+            # two features' lists fall outside the candidate columns.
             flat = codes[f0 : f0 + nf].ravel()
             np.equal(flat[:-1], flat[1:], out=tie_buf[: nf * m - 1])
-            np.add(gini, tie_buf[: nf * m].reshape(nf, m)[:, lo:hi], out=gini)
-            # C-order argmin: lowest feature first, then lowest position.
+            tie = tie_buf[: nf * m].reshape(nf, m)[:, lo:hi]
+            wide = nf > 2 and nf * m >= EXTREMES_CELLS and m <= 1 << 16
+            if wide:
+                # Only a position's largest and smallest admissible count can
+                # hold the minimum (see the module docstring). The count
+                # scratch lives in the float buffers: pen and work in tmp's
+                # and other's bytes, the (2, k) extremes at the end of gini's,
+                # past the (2, k) floats written below.
+                pen = tmp_buf.view(count_type)[: nf * k].reshape(nf, k)
+                work = other_buf.view(count_type)[: nf * k].reshape(nf, k)
+                ends = gini_buf.view(count_type)[-2 * k :].reshape(2, k)
+                # pen = m + 2 at equal codes moves their count below 0 for
+                # the max and above m for the min, so it wins neither.
+                np.multiply(tie, count_type(m + 2), out=pen)
+                np.subtract(left_pos, pen, out=work)
+                work.max(axis=0, out=ends[0])
+                np.add(left_pos, pen, out=work)
+                work.min(axis=0, out=ends[1])
+                gini = weighted_gini(ends, pos, m, lo, hi)
+                # A position with no admissible feature got penalised counts,
+                # whose Ginis can be negative: overwrite them with 1.
+                np.copyto(gini, 1.0, where=ends[0] < 0)
+            else:
+                gini = weighted_gini(left_pos, pos, m, lo, hi)
+                # Add 1 at equal codes, above any weighted Gini (at most
+                # 0.5), leaving the others exact.
+                np.add(gini, tie, out=gini)
             i = int(gini.argmin())
             value = gini.flat[i]
             if value < best_gini:
                 best_gini = value
-                feat, at = divmod(i, k)
+                if wide:
+                    # The winner is the lowest feature, then the lowest
+                    # position, among the admissible entries whose count is
+                    # an extreme that reaches the minimum.
+                    rows, cols = (gini == value).nonzero()
+                    ok = left_pos[:, cols] == ends[rows, cols]
+                    ok &= ~tie[:, cols]
+                    feat, at = min(zip(ok.argmax(axis=0).tolist(), cols.tolist()))
+                else:
+                    # C-order argmin: lowest feature first, then lowest position.
+                    feat, at = divmod(i, k)
                 at += lo
                 lpos = int(cum[feat, at])
                 feat += f0

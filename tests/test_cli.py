@@ -274,6 +274,28 @@ def test_cv_non_utf8_config_exits_2(runner, tmp_path):
     assert record["message"] == "bad config file: not UTF-8: byte 0xff at offset 15"
 
 
+def test_cv_config_with_utf8_bom_is_read(runner, dataset_files, tmp_path):
+    # Editors that save UTF-8 with a byte-order mark write a valid config.
+    arff, xml = dataset_files
+    config = {"arff": arff, "xml": xml, "out_dir": str(tmp_path / "out"), "methods": "BR"}
+    config.update(repeats=1, folds=2, c=2)
+    config_path = tmp_path / "bom.json"
+    config_path.write_bytes(b"\xef\xbb\xbf" + json.dumps(config).encode("utf-8"))
+    result = runner.invoke(main, ["cv", "--config", str(config_path)])
+    assert result.exit_code == 0, result.output
+    payload = json.loads((tmp_path / "out" / "cv_results.json").read_text())
+    assert payload["config"]["methods"] == ["BR"]
+
+
+def test_cv_non_utf8_config_after_bom_names_file_offset(runner, tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(b'\xef\xbb\xbf{"methods": "BR\xff"}')
+    result = runner.invoke(main, ["cv", "--config", str(config_path)])
+    assert result.exit_code == 2, result.output
+    record = json.loads(result.stderr.strip().splitlines()[-1])
+    assert record["message"] == "bad config file: not UTF-8: byte 0xff at offset 18"
+
+
 def test_cv_missing_required_exits_2(runner):
     result = runner.invoke(main, ["cv", "--methods", "BR"])
     assert result.exit_code == 2

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainbalance.dataset as dataset_module
 import chainbalance.learner as learner_module
 from chainbalance.dataset import Attribute, MultiLabelDataset, rank_codes
 from chainbalance.errors import ArityMismatch
@@ -247,6 +248,103 @@ def test_root_spanning_several_blocks_matches_reference():
     assert model_payload(model) == model_payload(reference_fit_tree(bd, spec))
 
 
+def _node_features(kind: str, n: int, d: int, levels: int, gen: np.random.Generator) -> np.ndarray:
+    if kind == "levels":
+        return gen.integers(0, levels, size=(n, d)).astype(np.float64)
+    X = gen.normal(size=(n, d))
+    return X.round(1) if kind == "rounded" else X
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["levels", "rounded", "normal"]),
+    st.integers(4, 59),
+    st.integers(1, 9),
+    st.integers(2, 11),
+    st.integers(1, 3),
+    st.sampled_from([None, 1, 3]),
+    st.sampled_from([0, 1 << 30]),
+    st.sampled_from([64, 256, None]),
+    st.integers(0, 2**32 - 1),
+)
+def test_extremes_search_matches_reference_kernel(
+    kind, n, d, levels, min_leaf, max_depth, extremes, cells, seed
+):
+    # EXTREMES_CELLS 0 sends every block of three or more features through
+    # the extreme counts, 2**30 none; small SEARCH_CELLS split the node into
+    # several blocks of either kind.
+    gen = np.random.default_rng(seed)
+    X = _node_features(kind, n, d, levels, gen)
+    y = (gen.random(n) < gen.random()).astype(np.int8)
+    bd = BinaryDataset(X, y)
+    spec = TreeSpec(max_depth=max_depth, min_samples_leaf=min_leaf)
+    cells = learner_module.SEARCH_CELLS if cells is None else cells
+    with mock.patch.object(learner_module, "EXTREMES_CELLS", extremes), mock.patch.object(
+        learner_module, "SEARCH_CELLS", cells
+    ):
+        model = fit_tree(bd, spec, rank_codes(X))
+    assert model_payload(model) == model_payload(reference_fit_tree(bd, spec))
+
+
+def _fit_extremes(X, y, spec=UNLIMITED):
+    bd = _bd(X, y)
+    with mock.patch.object(learner_module, "EXTREMES_CELLS", 0):
+        model = fit_tree(bd, spec)
+    assert model_payload(model) == model_payload(reference_fit_tree(bd, spec))
+    return model
+
+
+def test_extremes_both_tie_at_one_position():
+    # Features 1 and 2 split the same position perfectly, with no positives
+    # left and with all of them: the position's smallest and largest counts
+    # both reach Gini 0, and the lower feature of the two wins.
+    y = [1, 1, 1, 1, 0, 0, 0, 0]
+    X = np.array(
+        [[0, 4, 0], [4, 5, 1], [1, 6, 2], [5, 7, 3], [2, 0, 4], [6, 1, 5], [3, 2, 6], [7, 3, 7]]
+    )
+    model = _fit_extremes(X, y, TreeSpec(max_depth=1))
+    assert (model.feature[0], model.threshold[0]) == (1, 3.5)
+
+
+def test_extremes_equal_minima_at_two_positions():
+    # Feature 0 splits perfectly after five rows, feature 1 after three: the
+    # minimum sits at two positions, and the lower feature at the later
+    # position wins over the earlier position.
+    y = [1, 1, 1, 0, 0, 0, 0, 0]
+    X = np.array(
+        [[5, 0, 3], [6, 1, 7], [7, 2, 0], [0, 3, 4], [1, 4, 1], [2, 5, 5], [3, 6, 2], [4, 7, 6]]
+    )
+    model = _fit_extremes(X, y, TreeSpec(max_depth=1))
+    assert (model.feature[0], model.threshold[0]) == (0, 4.5)
+
+
+def test_extremes_position_without_admissible_feature():
+    # Every feature pairs its values, so every other position lies between
+    # equal codes in all of them. Those positions must lose, though the
+    # penalised counts there give negative Ginis.
+    gen = np.random.default_rng(7)
+    X = np.repeat(gen.permutation(12 * 3).reshape(12, 3) % 12, 2, axis=0)
+    y = [1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0, 0, 0, 1, 1, 0]
+    model = _fit_extremes(X, y)
+    assert model.node_count > 3
+
+
+def test_extremes_search_with_int32_counts():
+    # From 16,383 rows the counts plus the penalty m + 2 outgrow int16, and
+    # the root's blocks of three features take the extremes in int32.
+    n, d = 16_400, 4
+    gen = np.random.default_rng(11)
+    X = gen.integers(0, 40, size=(n, d)).astype(np.float64)
+    y = (X[:, 1] + 8 * gen.normal(size=n) > 25).astype(np.int8)
+    spec = TreeSpec(max_depth=2)
+    model = fit_tree(BinaryDataset(X, y), spec)
+    with mock.patch.object(learner_module, "EXTREMES_CELLS", 1 << 30):
+        full = fit_tree(BinaryDataset(X, y), spec)
+    assert model.node_count == 7
+    assert model_payload(model) == model_payload(full)
+    assert model_payload(model) == model_payload(reference_fit_tree(BinaryDataset(X, y), spec))
+
+
 def test_fit_memory_is_bounded_per_feature_row():
     # The root's lists (7 bytes per feature and row), its children's (7
     # more) and block-sized buffers; a search over all features at once
@@ -308,6 +406,46 @@ def test_rank_codes_widen_past_65536_rows():
     narrow = rank_codes(X[1:])
     assert narrow.dtype == np.uint16
     assert narrow[0, 0] == 65_535
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([1, 5, 24, 100]),
+    st.integers(1, 30),
+    st.integers(1, 9),
+    st.integers(0, 2**32 - 1),
+)
+def test_rank_codes_in_blocks_equal_whole_matrix(cells, n, d, seed):
+    # Few distinct values, so every column has ties; blocks of one or
+    # several columns, and of all of them, must give the same codes.
+    gen = np.random.default_rng(seed)
+    X = gen.choice([-1.0, -0.0, 0.0, 2.5, np.inf], size=(n, d))
+    with mock.patch.object(dataset_module, "RANK_CELLS", 1 << 30):
+        whole = rank_codes(X)
+    with mock.patch.object(dataset_module, "RANK_CELLS", cells):
+        blocked = rank_codes(X)
+    assert blocked.dtype == whole.dtype and blocked.flags.c_contiguous
+    assert np.array_equal(blocked, whole)
+
+
+def test_rank_codes_memory_is_bounded_per_feature_row():
+    # The codes take 2 bytes per (feature, row) and a block's temporaries
+    # about 2 MB; ranking every column at once took about 30 bytes.
+    n, d = 1200, 600
+    X = np.random.default_rng(0).normal(size=(n, d)).round(3)
+    tracemalloc.start()
+    try:
+        codes = rank_codes(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes.shape == (n, d)
+    assert peak < 10 * n * d
+
+
+def test_rank_codes_of_no_rows():
+    codes = rank_codes(np.empty((0, 3)))
+    assert codes.shape == (0, 3) and codes.dtype == np.uint16
 
 
 def test_fit_tree_rejects_ranks_of_wrong_shape():
