@@ -64,10 +64,6 @@ class ChainModel:
                     f"expected {self.base_arity + offset}"
                 )
 
-    @property
-    def label_sequence(self) -> tuple[int, ...]:
-        return tuple(label for label, _ in self.links)
-
 
 def _check_chain(ds: MultiLabelDataset, chain: ChainSpec) -> None:
     if any(j >= ds.q for j in chain.sequence):

@@ -12,8 +12,9 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -29,6 +30,9 @@ NUMERIC_TYPES = {"numeric", "real", "integer"}
 # Most (feature, row) entries that rank_codes ranks at once. Ranking takes
 # about 30 bytes per entry, so a block's temporaries stay near 2 MB.
 RANK_CELLS = 1 << 16
+# Most values in one block of ARFF data rows. numpy parses a block of dense
+# numeric rows at once; its text and temporaries stay near a megabyte.
+PARSE_CELLS = 1 << 16
 Converter = Callable[[str, int], float]  # (token, line number) -> cell value
 
 
@@ -201,6 +205,22 @@ def _read_text(source: str | Path | TextIO) -> str:
     return source.lstrip("\ufeff")
 
 
+def _lines(pieces: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of each line that is neither blank nor a
+    comment, in the text that pieces ending at line breaks make up. Lines
+    are split and numbered as str.splitlines() splits the whole text, after
+    a leading BOM is dropped."""
+    lineno, cr = 0, False
+    for i, piece in enumerate(pieces):
+        if cr and piece.startswith("\n"):  # a "\r\n" that two pieces share
+            piece = piece[1:]
+        cr = piece.endswith("\r")
+        for line in (piece.lstrip("\ufeff") if i == 0 else piece).splitlines():
+            lineno, line = lineno + 1, line.strip()
+            if line and not line.startswith("%"):
+                yield lineno, line
+
+
 def _split_values(text: str) -> list[str]:
     """Split on commas outside single/double quotes; unquote and strip each value.
 
@@ -345,6 +365,27 @@ def _parse_row(line: str, lineno: int, converters: list[Converter]) -> list[floa
     return row
 
 
+def _parse_dense(lines: list[str], width: int, label_cols: list[int]) -> np.ndarray | None:
+    """A block of dense numeric rows as a (rows, width) table, parsed by numpy,
+    or None unless every value is finite and every label token is "0" or "1".
+    Sparse and quoted rows do not parse as numbers, so they give None too."""
+    try:
+        table = np.loadtxt(lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != width or not np.isfinite(table).all():
+        return None
+    labels = table[:, label_cols]
+    if not ((labels == 0) | (labels == 1)).all():
+        return None
+    # A token that reads as 0 or 1 is "0" or "1" exactly when it is one
+    # character long, as in "1" but not "1.0", "+1" or " 1".
+    text = np.frombuffer(",".join(lines).encode(), dtype=np.uint8)
+    ends = np.append(np.flatnonzero(text == ord(",")), text.size)
+    lengths = np.diff(ends, prepend=-1).reshape(table.shape) - 1
+    return table if (lengths[:, label_cols] == 1).all() else None
+
+
 def load_mulan(
     arff_source: str | Path | TextIO, xml_source: str | Path | TextIO
 ) -> MultiLabelDataset:
@@ -353,20 +394,21 @@ def load_mulan(
     Attributes named in the XML become label columns in XML order; the rest
     become feature columns in declaration order. Nominal features are encoded
     as integer category codes. Sparse rows fill unlisted columns with zero.
+    The ARFF source is read one line at a time, in blocks of rows.
     """
+    if isinstance(arff_source, Path):
+        try:
+            with arff_source.open(encoding="utf-8", newline="") as stream:
+                return load_mulan(stream, xml_source)
+        except UnicodeDecodeError:
+            _read_text(arff_source)  # raises the error that names the first bad byte
+            raise
+    if isinstance(arff_source, str):
+        arff_source = arff_source.splitlines(keepends=True)
     relation = "dataset"
     attributes: list[Attribute] = []
-    converters: list[Converter] | None = None  # one per attribute, from @data on
-    # One float64 array per row: a row's Python floats live only while it is
-    # parsed.
-    rows: list[np.ndarray] = []
-    for lineno, raw in enumerate(_read_text(arff_source).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        if converters is not None:
-            rows.append(np.array(_parse_row(line, lineno, converters), dtype=np.float64))
-            continue
+    rows = _lines(arff_source)
+    for lineno, line in rows:
         lowered = line.lower()
         if lowered.startswith("@relation"):
             name = line[len("@relation") :].strip()
@@ -376,36 +418,54 @@ def load_mulan(
         elif lowered.startswith("@attribute"):
             attributes.append(_parse_attribute_line(line, lineno))
         elif lowered.startswith("@data"):
-            if not attributes:
-                raise MalformedArff("@data before any @attribute declaration")
-            if len({a.name for a in attributes}) != len(attributes):
-                raise MalformedArff("duplicate attribute names in header")
-            label_names = parse_label_names(xml_source)
-            converters = [_converter(a, a.name in label_names) for a in attributes]
+            break
         else:
             raise MalformedArff(f"line {lineno}: unrecognized header line {line!r}")
-    if converters is None:
+    else:
         raise MalformedArff("no @data section found")
-    if not rows:
+    if not attributes:
+        raise MalformedArff("@data before any @attribute declaration")
+    if len({a.name for a in attributes}) != len(attributes):
+        raise MalformedArff("duplicate attribute names in header")
+    label_names = parse_label_names(xml_source)
+    converters = [_converter(a, a.name in label_names) for a in attributes]
+    index_by_name = {a.name: i for i, a in enumerate(attributes)}
+    label_cols = [index_by_name[name] for name in label_names if name in index_by_name]
+    feature_cols = [i for i, a in enumerate(attributes) if a.name not in label_names]
+    # Nominal features hold category codes, which only the row parser gives.
+    numeric = not any(attributes[i].is_nominal for i in feature_cols)
+    # Each block is split into its feature and label columns at once. A
+    # block that numpy cannot parse exactly goes through the row parser,
+    # which gives the same values or raises the error of its first bad row.
+    features: list[np.ndarray] = []
+    labels: list[np.ndarray] = []
+    width = len(attributes)
+    size = max(1, PARSE_CELLS // width)
+    for block in iter(lambda: list(islice(rows, size)), []):
+        table = _parse_dense([line for _, line in block], width, label_cols) if numeric else None
+        if table is None:
+            table = np.array(
+                [_parse_row(line, lineno, converters) for lineno, line in block],
+                dtype=np.float64,
+            )
+        features.append(table.take(feature_cols, axis=1))  # C order, as the dataset keeps it
+        labels.append(table.take(label_cols, axis=1).astype(np.int8))
+    if not features:
         raise MalformedArff("empty @data section")
 
     # Label declarations are checked after the rows: a malformed row wins.
-    index_by_name = {a.name: i for i, a in enumerate(attributes)}
     for name in label_names:
         if name not in index_by_name:
             raise MissingLabelAttribute(f"label {name!r} has no ARFF attribute")
-    label_cols = [index_by_name[name] for name in label_names]
     for col in label_cols:
         attr = attributes[col]
         if not attr.is_nominal or not set(attr.categories) <= {"0", "1"}:
             raise NonBinaryLabel(
                 f"label attribute {attr.name!r} must be nominal with values in {{0,1}}"
             )
-    feature_cols = [i for i, a in enumerate(attributes) if a.name not in label_names]
-    table = np.stack(rows)
     return MultiLabelDataset(
-        features=table[:, feature_cols],
-        labels=table[:, label_cols],
+        features=np.concatenate(features),
+        labels=np.concatenate(labels),
         label_names=label_names,
         feature_kinds=tuple(attributes[i] for i in feature_cols),
         relation=relation,
@@ -415,70 +475,6 @@ def load_mulan(
 def load_mulan_files(arff_path: str | Path, xml_path: str | Path) -> MultiLabelDataset:
     """Convenience wrapper taking file paths."""
     return load_mulan(Path(arff_path), Path(xml_path))
-
-
-# ---------------------------------------------------------------------------
-# Serialization (dense ARFF + XML header)
-# ---------------------------------------------------------------------------
-
-
-def _format_value(attr: Attribute, value: float) -> str:
-    if attr.is_nominal:
-        code = int(round(value))
-        if not 0 <= code < len(attr.categories):
-            raise ValueError(f"category code {code} out of range for {attr.name!r}")
-        return _quote_if_needed(attr.categories[code])
-    return repr(float(value))
-
-
-def _quote_if_needed(token: str) -> str:
-    """The token as ARFF reads it back: quoted if it holds a special
-    character, in double quotes if it holds a single one."""
-    if not token:
-        raise ValueError(f"cannot write {token!r} to ARFF: an empty value is not read back")
-    if token != token.strip():
-        raise ValueError(
-            f"cannot write {token!r} to ARFF: blanks around a value are dropped on reading"
-        )
-    if "'" in token and '"' in token:
-        raise ValueError(f"cannot write {token!r} to ARFF: it holds both quote characters")
-    if any(ch in token for ch in ", '\"{}%"):
-        quote = '"' if "'" in token else "'"
-        return quote + token + quote
-    return token
-
-
-def to_arff_text(ds: MultiLabelDataset) -> str:
-    """Serialize as dense ARFF: features first, labels after, in order."""
-    out: list[str] = [f"@relation {_quote_if_needed(ds.relation)}", ""]
-    for attr in ds.feature_kinds:
-        if attr.is_nominal:
-            cats = ",".join(_quote_if_needed(c) for c in attr.categories)
-            out.append(f"@attribute {_quote_if_needed(attr.name)} {{{cats}}}")
-        else:
-            out.append(f"@attribute {_quote_if_needed(attr.name)} numeric")
-    for name in ds.label_names:
-        out.append(f"@attribute {_quote_if_needed(name)} {{0,1}}")
-    out.append("")
-    out.append("@data")
-    for r in range(ds.n):
-        feat_part = [_format_value(a, ds.features[r, j]) for j, a in enumerate(ds.feature_kinds)]
-        label_part = [str(int(v)) for v in ds.labels[r]]
-        out.append(",".join(feat_part + label_part))
-    return "\n".join(out) + "\n"
-
-
-def to_xml_text(ds: MultiLabelDataset) -> str:
-    """Serialize the label header in Mulan's XML format."""
-    lines = ['<?xml version="1.0" encoding="utf-8"?>']
-    lines.append('<labels xmlns="http://mulan.sourceforge.net/labels">')
-    for name in ds.label_names:
-        escaped = (
-            name.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
-        )
-        lines.append(f'  <label name="{escaped}"></label>')
-    lines.append("</labels>")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

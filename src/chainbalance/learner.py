@@ -144,8 +144,8 @@ def _partition(
     lists: tuple, goes_left: np.ndarray, left_n: int, sides: tuple, step: int
 ) -> tuple:
     """_split_lists of a node of several blocks of step features: it fills
-    its children's lists block by block, so the temporaries stay within a
-    block."""
+    its children's lists in place block by block, so the temporaries stay
+    within a block."""
     d, m = lists[0].shape
     children = tuple(
         tuple(np.empty((d, size), dtype=a.dtype) for a in lists) if wanted else None
@@ -153,11 +153,13 @@ def _partition(
     )
     for f0 in range(0, d, step):
         block = slice(f0, f0 + step)
-        parts = _split_lists(tuple(a[block] for a in lists), goes_left, left_n, sides)
-        for child, part in zip(children, parts):
+        mask = goes_left.take(lists[0][block]).ravel()
+        for child, keep in zip(children, (mask, ~mask)):
             if child is not None:
-                for out, piece in zip(child, part):
-                    out[block] = piece
+                keep = keep.nonzero()[0]
+                # keep is in range; "clip" writes into out, where "raise" buffers.
+                for a, out in zip(lists, child):
+                    a[block].take(keep, out=out[block].reshape(-1), mode="clip")
     return children
 
 

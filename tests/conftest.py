@@ -113,7 +113,7 @@ def small_ds():
 
 
 def write_dataset_files(ds: MultiLabelDataset, directory) -> tuple[str, str]:
-    from chainbalance.dataset import to_arff_text, to_xml_text
+    from arff_writer import to_arff_text, to_xml_text
 
     arff_path = directory / f"{ds.relation}.arff"
     xml_path = directory / f"{ds.relation}.xml"

@@ -54,7 +54,7 @@ def test_chain_spec_validation():
 def test_train_cc_single_label_matches_plain_tree():
     ds = make_dataset(40, [0.4], seed=3)
     chain = train_cc(ds, ChainSpec((0,)), UNLIMITED)
-    assert chain.label_sequence == (0,)
+    assert tuple(label for label, _ in chain.links) == (0,)
     plain = fit_tree(BinaryDataset(ds.features, ds.labels[:, 0]), UNLIMITED)
     assert model_payload(chain.links[0][1]) == model_payload(plain)
 

@@ -2,15 +2,19 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import io
 import re
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainbalance.dataset as dataset_module
 from chainbalance.dataset import (
     Attribute,
     MultiLabelDataset,
@@ -20,8 +24,6 @@ from chainbalance.dataset import (
     load_mulan_files,
     reduce_features_by_frequency,
     summarize,
-    to_arff_text,
-    to_xml_text,
 )
 from chainbalance.errors import (
     AllLabelsDegenerate,
@@ -29,7 +31,8 @@ from chainbalance.errors import (
     MissingLabelAttribute,
     NonBinaryLabel,
 )
-from conftest import SMALL_ARFF, SMALL_XML, make_dataset
+from arff_writer import to_arff_text, to_xml_text
+from conftest import SMALL_ARFF, SMALL_XML, make_dataset, write_dataset_files
 
 XML_L1 = '<labels xmlns="http://mulan.sourceforge.net/labels"><label name="L1"/></labels>'
 
@@ -185,6 +188,175 @@ def test_benchmark_shapes_load_exactly(name, tmp_path):
 def test_malformed_rows(row):
     with pytest.raises(MalformedArff):
         load_mulan(DENSE_ARFF + row + "\n", XML_L1)
+
+
+# Each test_malformed_rows case, with the message the row parser gives it.
+MALFORMED_ROW_MESSAGES = [
+    ("1.5,2.0", "row has 2 values, expected 3"),
+    ("1.5,2.0,1,1", "row has 4 values, expected 3"),
+    ("oops,2.0,1", "'a' needs a finite number, got 'oops'"),
+    ("?,2.0,1", "missing value ('?') for 'a'"),
+    ("{5 1}", "bad sparse index '5'"),
+    ("{0 1, 0 2, 2 1}", "duplicate sparse index 0"),
+    ("nan,2.0,1", "'a' needs a finite number, got 'nan'"),
+    ("inf,2.0,1", "'a' needs a finite number, got 'inf'"),
+    ("1.5,-inf,1", "'b' needs a finite number, got '-inf'"),
+    ("1e999,2.0,1", "'a' needs a finite number, got '1e999'"),
+    ("{0 nan, 2 1}", "'a' needs a finite number, got 'nan'"),
+]
+
+
+@pytest.mark.parametrize("row, message", MALFORMED_ROW_MESSAGES)
+def test_malformed_row_inside_a_numeric_block(row, message):
+    # DENSE_ARFF's two rows end on line 7; 148 more valid rows, then the bad
+    # one on line 156, then 150 valid rows: one block that numpy would parse
+    # but for this row.
+    valid = "1.5,2.0,1\n0.0,3.0,0\n" * 74
+    arff = DENSE_ARFF + valid + row + "\n" + valid + "1.5,2.0,1\n" * 2
+    assert arff.splitlines()[155] == row
+    with pytest.raises(MalformedArff) as caught:
+        load_mulan(arff, XML_L1)
+    assert str(caught.value) == f"line 156: {message}"
+
+
+def test_dense_numeric_blocks_skip_the_row_parser():
+    arff = DENSE_ARFF + "-1,1e3,1\n.5, 7 ,0\n" * 200
+
+    def no_rows(*args):
+        raise AssertionError("a dense numeric row went through the row parser")
+
+    with mock.patch.object(dataset_module, "_parse_row", no_rows):
+        ds = load_mulan(arff, XML_L1)
+    assert ds.n == 402
+    assert ds.features[-2:].tolist() == [[-1.0, 1000.0], [0.5, 7.0]]
+    assert ds.labels[-2:, 0].tolist() == [1, 0]
+
+
+# Tokens that numpy and float() may read differently from the row parser:
+# numpy reads the label tokens as 1 but only "0" and "1" are labels, numpy
+# refuses "1_000" and "" and reads "nan", "inf" and "1e999" as numbers that
+# are not finite.
+_ODD_LABELS = ["1.0", "+1", "01", "1e0", " 1", "0 ", "2", "-0", "nan", ""]
+_ODD_VALUES = ["nan", "inf", "-inf", "1e999", "1_000", ".5", "-0", " 2.5 ", "\t3", "", "x"]
+_VALUES = st.one_of(
+    st.integers(-100, 100).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3).map(lambda v: f"{v:.6f}"),
+)
+
+
+def _load_outcome(arff: str, xml: str):
+    try:
+        ds = load_mulan(arff, xml)
+    except (MalformedArff, NonBinaryLabel) as exc:
+        return type(exc), str(exc)
+    return ds.features.shape, ds.features.tobytes(), ds.labels.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_numpy_blocks_equal_the_row_parser(data):
+    d = data.draw(st.integers(0, 4))
+    q = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 12))
+    # Labels anywhere among the attributes, and the XML in any order.
+    labels = [f"L{j}" for j in range(q)]
+    names = data.draw(st.permutations([f"x{i}" for i in range(d)] + labels))
+    order = data.draw(st.permutations(labels))
+    xml = "<labels>" + "".join(f'<label name="{name}"/>' for name in order) + "</labels>"
+    rows = [
+        [data.draw(st.sampled_from("01") if name in labels else _VALUES) for name in names]
+        for _ in range(n)
+    ]
+    for _ in range(data.draw(st.integers(0, 2))):
+        r = data.draw(st.integers(0, n - 1))
+        c = data.draw(st.integers(0, len(names) - 1))
+        odd = _ODD_LABELS if names[c] in labels else _ODD_VALUES
+        rows[r][c] = data.draw(st.sampled_from(odd))
+    header = [f"@attribute {name} " + ("{0,1}" if name in labels else "numeric") for name in names]
+    arff = "\n".join(["@relation r", *header, "@data", *(",".join(row) for row in rows)]) + "\n"
+    cells = data.draw(st.sampled_from([1, len(names) * 2, 1 << 16]))
+    with mock.patch.object(dataset_module, "PARSE_CELLS", cells):
+        blocks = _load_outcome(arff, xml)
+        with mock.patch.object(dataset_module, "_parse_dense", lambda *args: None):
+            rows_only = _load_outcome(arff, xml)
+    assert blocks == rows_only
+
+
+def _write_dense_file(tmp_path, n: int, d: int, q: int) -> tuple[Path, Path]:
+    gen = np.random.default_rng(0)
+    ds = MultiLabelDataset(
+        features=gen.normal(size=(n, d)).round(6),
+        labels=gen.integers(0, 2, size=(n, q)),
+        label_names=tuple(f"L{j}" for j in range(q)),
+        feature_kinds=tuple(Attribute(f"x{i}") for i in range(d)),
+        relation="wide",
+    )
+    return tuple(map(Path, write_dataset_files(ds, tmp_path)))
+
+
+def test_load_memory_is_bounded_per_value(tmp_path):
+    # The blocks' matrices and their concatenation take 16 bytes per value,
+    # and one block's text and temporaries stay near a megabyte. Holding
+    # the file's text and its list of lines took about 33 bytes.
+    n, d, q = 1200, 300, 6
+    arff, xml = _write_dense_file(tmp_path, n, d, q)
+    tracemalloc.start()
+    try:
+        ds = load_mulan_files(arff, xml)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (ds.n, ds.d, ds.q) == (n, d, q)
+    assert peak < 3 * n * (d + q) * 8
+
+
+def test_streamed_non_utf8_error_names_the_byte_offset(tmp_path):
+    # The bad byte sits far past the first buffer the reader decodes.
+    arff, xml = _write_dense_file(tmp_path, 200, 30, 2)
+    data = arff.read_bytes()
+    at = data.index(b"\n", len(data) // 2) + 3
+    arff.write_bytes(data[:at] + b"\xe9" + data[at + 1 :])
+    with pytest.raises(MalformedArff) as caught:
+        load_mulan_files(arff, xml)
+    assert str(caught.value) == f"{arff}: not UTF-8: byte 0xe9 at offset {at}"
+
+
+# A BOM, then CRLF, bare CR and form feed breaks. str.splitlines() splits
+# at all of them; a form feed inside a row splits the row.
+SPLIT_ARFF = (
+    "\ufeff@relation tiny\r\n@attribute a numeric\r\n@attribute b numeric\r"
+    "@attribute L1 {0,1}\n@data\r\n1.5,2.0,1\r0.0,3.0,0\f\r\n2.5,1.0,1\r\n"
+)
+
+
+@pytest.mark.parametrize("source", ["text", "path", "stream", "cr-stream"])
+@pytest.mark.parametrize("tail, message", [("", None), ("0.5,\f1.0,0\r\n", "row has 2 values")])
+def test_lines_split_and_number_as_splitlines(tmp_path, source, tail, message):
+    text = SPLIT_ARFF + tail
+    path = tmp_path / "split.arff"
+    path.write_bytes(text.encode("utf-8"))
+    expected = len(text.splitlines()) - 1  # the bad row's line number
+
+    def load():
+        if source == "text":
+            return load_mulan(text, XML_L1)
+        if source == "path":
+            return load_mulan(path, XML_L1)
+        if source == "stream":
+            return load_mulan(io.StringIO(text), XML_L1)
+        # Lines end only at "\r" here, so the "\r\n"s straddle two lines.
+        with path.open(encoding="utf-8", newline="\r") as stream:
+            return load_mulan(stream, XML_L1)
+
+    if message is None:
+        ds = load()
+        assert ds.features.tolist() == [[1.5, 2.0], [0.0, 3.0], [2.5, 1.0]]
+        assert ds.labels[:, 0].tolist() == [1, 0, 1]
+        return
+    with pytest.raises(MalformedArff) as caught:
+        load()
+    assert str(caught.value) == f"line {expected}: {message}, expected 3"
 
 
 def test_malformed_headers():

@@ -159,7 +159,7 @@ def test_eccru2_build_matches_worked_example():
     assert sizes == {3: 6, 2: 4}
     assert model.vote_counts.tolist() == [10, 10, 6]
     # Trained chains nest: each chain's label set contains the next one's.
-    label_sets = [set(chain.label_sequence) for chain in model.chains]
+    label_sets = [{label for label, _ in chain.links} for chain in model.chains]
     for a, b in zip(label_sets, label_sets[1:]):
         assert b <= a
     assert all(len(s) >= 2 for s in label_sets)
