@@ -101,14 +101,6 @@ def stats(arff_path: Path, xml_path: Path, feature_keep_fraction: float | None,
     _guard(body)
 
 
-def _merged(ctx: click.Context, file_values: dict, key: str):
-    """Command line beats config file beats default."""
-    source = ctx.get_parameter_source(key)
-    if source == click.core.ParameterSource.COMMANDLINE:
-        return ctx.params[key]
-    return file_values.get(key, ctx.params[key])
-
-
 def _typed(key: str, value, kind: type, optional: bool = False):
     """value converted by kind; None passes only where the key is optional.
 
@@ -130,23 +122,29 @@ def _typed(key: str, value, kind: type, optional: bool = False):
         raise ConfigError(message) from exc
 
 
-def _flatten_config(values: dict) -> dict:
-    """Accept nested ensemble/tree sections alongside flat flag-style keys."""
-    flat = {k: v for k, v in values.items() if k not in ("ensemble", "tree")}
-    ensemble = values.get("ensemble")
-    if isinstance(ensemble, dict):
-        for key in ("c", "theta_max", "theta_min"):
-            if key in ensemble and key not in flat:
-                flat[key] = ensemble[key]
-    tree = values.get("tree")
+def _settings(ctx: click.Context, file_values: dict) -> dict:
+    """Each cv setting by parameter name: a flag beats a file key beats the
+    default. A file has one key per flag, as in the config echo of
+    cv_results.json plus out_dir and n_jobs: the tree_* flags are keys of a
+    "tree" object, the others are flat. Any other key is refused."""
+    names = set(ctx.params) - {"config_path"}
+    flat = {k: v for k, v in file_values.items() if k != "tree"}
+    unknown = [k for k in flat if k not in names or k.startswith("tree_")]
+    tree = file_values.get("tree", {})
     if isinstance(tree, dict):
-        for src, dst in (
-            ("max_depth", "tree_max_depth"),
-            ("min_samples_leaf", "tree_min_samples_leaf"),
-        ):
-            if src in tree and dst not in flat:
-                flat[dst] = tree[src]
-    return flat
+        flat.update((f"tree_{k}", v) for k, v in tree.items())
+        unknown += [f"tree.{k}" for k in tree if f"tree_{k}" not in names]
+    else:
+        unknown.append("tree (not an object)")
+    if unknown:
+        valid = sorted(n.replace("tree_", "tree.", 1) for n in names)
+        raise ConfigError(
+            f"unknown config keys: {', '.join(unknown)}; valid: {', '.join(valid)}"
+        )
+    command_line = click.core.ParameterSource.COMMANDLINE
+    return ctx.params | {
+        k: v for k, v in flat.items() if ctx.get_parameter_source(k) != command_line
+    }
 
 
 @main.command()
@@ -154,11 +152,13 @@ def _flatten_config(values: dict) -> dict:
               help="JSON config file; explicit flags override its keys.")
 @click.option("--arff", default=None)
 @click.option("--xml", default=None)
-@click.option("--out-dir", default=None)
+@click.option("--out-dir", default="chainbalance-results", show_default=True)
 @click.option("--methods", default=None, help="Comma-separated method names.")
 @click.option("--c", "c", type=int, default=10, show_default=True)
 @click.option("--theta-max", type=float, default=10.0, show_default=True)
-@click.option("--theta-min", type=float, default=None)
+@click.option("--theta-min", type=float, default=None,
+              help="ECCRU3's floor on each label's classifier count, as a fraction "
+                   "of c; ECCRU3 uses 0.5 when unset.")
 @click.option("--tree-max-depth", type=int, default=None)
 @click.option("--tree-min-samples-leaf", type=int, default=2, show_default=True)
 @click.option("--repeats", type=int, default=5, show_default=True)
@@ -186,26 +186,23 @@ def cv(ctx: click.Context, config_path: Path | None, **_: object) -> None:
                 raise ConfigError(f"bad config file: {exc}") from exc
             if not isinstance(file_values, dict):
                 raise ConfigError("config file must hold a JSON object")
-            file_values = _flatten_config(file_values)
+        values = _settings(ctx, file_values)
 
         def get(key: str, kind: type, optional: bool = False):
-            return _typed(key, _merged(ctx, file_values, key), kind, optional)
+            return _typed(key, values[key], kind, optional)
 
         arff = get("arff", Path, optional=True)
         xml = get("xml", Path, optional=True)
-        methods_value = _merged(ctx, file_values, "methods")
-        if arff is None or xml is None or methods_value is None:
+        methods = values["methods"]
+        if arff is None or xml is None or methods is None:
             raise ConfigError("arff, xml, and methods are required")
-        if isinstance(methods_value, str):
-            methods = tuple(m.strip() for m in methods_value.split(",") if m.strip())
-        else:
-            methods = _typed("methods", methods_value, tuple)
-        out_dir = _merged(ctx, file_values, "out_dir") or "chainbalance-results"
+        if isinstance(methods, str):
+            methods = [m.strip() for m in methods.split(",") if m.strip()]
         config = ExperimentConfig(
             arff_path=arff,
             xml_path=xml,
-            out_dir=_typed("out_dir", out_dir, Path),
-            methods=methods,
+            out_dir=get("out_dir", Path),
+            methods=_typed("methods", methods, tuple),
             c=get("c", int),
             theta_max=get("theta_max", float),
             theta_min=get("theta_min", float, optional=True),

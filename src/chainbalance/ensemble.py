@@ -112,12 +112,6 @@ class EnsembleSpec:
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
-    @property
-    def effective_theta_min(self) -> float:
-        if self.method != "ECCRU3":
-            raise ConfigError("theta_min applies only to ECCRU3")
-        return 0.5 if self.theta_min is None else self.theta_min
-
 
 @dataclass(frozen=True)
 class ClassifierBudget:
@@ -184,7 +178,7 @@ def compute_classifier_budget(
         targets = tuple(min(max(r, 1), cap) for r in raw)
     elif spec.method == "ECCRU3":
         cap = _int_floor(spec.c * spec.theta_max)
-        floor_ = _int_ceil(spec.c * spec.effective_theta_min)
+        floor_ = _int_ceil(spec.c * (0.5 if spec.theta_min is None else spec.theta_min))
         targets = tuple(min(max(r, floor_), cap) for r in raw)
     else:
         targets = raw

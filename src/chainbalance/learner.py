@@ -366,6 +366,11 @@ def fit_tree(
         if any(sides):
             goes_left[ids[feat, :left_n]] = True
             goes_left[ids[feat, left_n:]] = False
+            # One block splits faster with _split_lists than with _partition's
+            # preallocated fill. Routing every node through _partition took a
+            # flags-protocol seed-3 run_cv (18,533 one-block splits) from 0.34
+            # to 0.50 s in the split and from 2.28 to 2.49 s in fit_tree
+            # (medians of 10 runs each on a 2-core VM; slower split in 10/10).
             if step >= d:
                 left_lists, right_lists = _split_lists(lists, goes_left, left_n, sides)
             else:

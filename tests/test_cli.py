@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,7 +8,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from chainbalance.cli import main
+from chainbalance.cli import cv, main
+from chainbalance.ensemble import EnsembleSpec
+from chainbalance.experiment import ExperimentConfig
+from chainbalance.learner import TreeSpec
+from chainbalance.metrics import METRIC_KEYS
 from conftest import dataset_with_label_counts, make_dataset, write_dataset_files
 
 
@@ -331,6 +336,8 @@ def test_cv_config_file_with_flag_override(runner, dataset_files, tmp_path):
 
 
 def test_cv_nested_config_sections(runner, dataset_files, tmp_path):
+    # The tree settings live in a "tree" section, as in the config echo; the
+    # other settings are flat, and an "ensemble" section is refused.
     arff, xml = dataset_files
     config = {
         "arff": arff,
@@ -338,7 +345,7 @@ def test_cv_nested_config_sections(runner, dataset_files, tmp_path):
         "out_dir": str(tmp_path / "nested"),
         "methods": "BR",
         "repeats": 1,
-        "ensemble": {"c": 4},
+        "c": 4,
         "tree": {"max_depth": 2, "min_samples_leaf": 3},
     }
     config_path = tmp_path / "nested.json"
@@ -348,6 +355,145 @@ def test_cv_nested_config_sections(runner, dataset_files, tmp_path):
     payload = json.loads((tmp_path / "nested" / "cv_results.json").read_text())
     assert payload["config"]["c"] == 4
     assert payload["config"]["tree"] == {"max_depth": 2, "min_samples_leaf": 3}
+
+    config_path.write_text(json.dumps(config | {"ensemble": {"c": 2}}))
+    result = runner.invoke(main, ["cv", "--config", str(config_path)])
+    assert result.exit_code == 2, result.output
+    record = json.loads(result.stderr.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith("unknown config keys: ensemble;")
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ({"thetamax": 3}, "thetamax"),
+        ({"ensemble": {"c": 2}}, "ensemble"),
+        ({"ensemble": [1]}, "ensemble"),
+        ({"tree_max_depth": 1}, "tree_max_depth"),
+        ({"tree_min_samples_leaf": 1}, "tree_min_samples_leaf"),
+        ({"tree": {"maxdepth": 1}}, "tree.maxdepth"),
+        ({"tree": 3}, "tree (not an object)"),
+        ({"tree": None}, "tree (not an object)"),
+        ({"config_path": "other.json"}, "config_path"),
+        (
+            {"thetamax": 3, "tree_max_depth": 1, "ensemble": [1],
+             "tree": {"max_depth": 2, "maxdepth": 1, "min_leaf": 1}},
+            "thetamax, tree_max_depth, ensemble, tree.maxdepth, tree.min_leaf",
+        ),
+    ],
+)
+def test_cv_unknown_config_keys_exit_2_before_reading_data(
+    runner, dataset_files, tmp_path, monkeypatch, extra, named
+):
+    def untouched(*args, **kwargs):
+        raise AssertionError("read data or trained despite unknown config keys")
+
+    monkeypatch.setattr("chainbalance.experiment.load_mulan_files", untouched)
+    monkeypatch.setattr("chainbalance.experiment.train_ensemble", untouched)
+    arff, xml = dataset_files
+    config = {"arff": arff, "xml": xml, "out_dir": str(tmp_path / "x"),
+              "methods": "BR", "repeats": 1} | extra
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    result = runner.invoke(main, ["cv", "--config", str(config_path)])
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"unknown config keys: {named}; valid: arff, c,")
+    assert not (tmp_path / "x").exists()
+
+
+def test_cv_results_config_echo_is_a_config_file(runner, dataset_files, tmp_path):
+    arff, xml = dataset_files
+    first = tmp_path / "first"
+    result = _run_cv(
+        runner, arff, xml, first,
+        ["--methods", "BR,ECCRU3", "--theta-min", "0.5", "--theta-max", "4",
+         "--tree-max-depth", "3", "--tree-min-samples-leaf", "1",
+         "--feature-keep-fraction", "0.8"],
+    )
+    assert result.exit_code == 0, result.output
+    echo = json.loads((first / "cv_results.json").read_text())["config"]
+    config_path = tmp_path / "echo.json"
+    config_path.write_text(json.dumps(echo))
+    second = tmp_path / "second"
+    result = runner.invoke(
+        main, ["cv", "--config", str(config_path), "--out-dir", str(second)]
+    )
+    assert result.exit_code == 0, result.output
+    assert (second / "cv_results.json").read_bytes() == (
+        first / "cv_results.json"
+    ).read_bytes()
+
+
+def test_cv_every_flag_has_one_file_key(runner, tmp_path, monkeypatch):
+    # One value per cv flag, none of them the flag's default.
+    values = {
+        "arff": "data/a.arff",
+        "xml": "data/a.xml",
+        "out_dir": "elsewhere",
+        "methods": ["ECCRU3", "BR"],
+        "c": 7,
+        "theta_max": 3.5,
+        "theta_min": 0.25,
+        "tree_max_depth": 4,
+        "tree_min_samples_leaf": 3,
+        "repeats": 3,
+        "folds": 4,
+        "feature_keep_fraction": 0.5,
+        "seed": 13,
+        "n_jobs": 2,
+    }
+    params = {p.name: p for p in cv.params if p.name != "config_path"}
+    assert set(values) == set(params)
+    captured = []
+
+    def fake_run_cv(config):
+        captured.append(config)
+        macro = dict.fromkeys(METRIC_KEYS)
+        return {"methods": {m: {"overall": {"macro": macro}} for m in config.methods}}
+
+    monkeypatch.setattr("chainbalance.cli.run_cv", fake_run_cv)
+    file_values = {k: v for k, v in values.items() if not k.startswith("tree_")}
+    file_values["tree"] = {
+        k.removeprefix("tree_"): v for k, v in values.items() if k.startswith("tree_")
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(file_values))
+    result = runner.invoke(main, ["cv", "--config", str(config_path)])
+    assert result.exit_code == 0, result.output
+    (config,) = captured
+    fields = {"arff": "arff_path", "xml": "xml_path"}
+    for name, value in values.items():
+        assert value != params[name].default, name
+        if name.startswith("tree_"):
+            got = getattr(config.tree, name.removeprefix("tree_"))
+        else:
+            got = getattr(config, fields.get(name, name))
+        if name in ("arff", "xml", "out_dir"):
+            value = Path(value)
+        elif name == "methods":
+            value = tuple(value)
+        assert got == value, name
+
+
+def test_cv_flag_defaults_match_the_spec_defaults():
+    flag_defaults = {p.name: p.default for p in cv.params}
+    spec_defaults: dict[str, list] = {}
+    for cls, prefix in ((ExperimentConfig, ""), (EnsembleSpec, ""), (TreeSpec, "tree_")):
+        for f in dataclasses.fields(cls):
+            if f.default is not dataclasses.MISSING:
+                spec_defaults.setdefault(prefix + f.name, []).append(f.default)
+    shared = set(flag_defaults) & set(spec_defaults)
+    assert shared == {
+        "c", "theta_max", "theta_min", "tree_max_depth", "tree_min_samples_leaf",
+        "repeats", "folds", "feature_keep_fraction", "seed", "n_jobs",
+    }
+    for name in shared:
+        assert spec_defaults[name] == [flag_defaults[name]] * len(spec_defaults[name]), name
 
 
 def test_cv_default_out_dir(runner, dataset_files, tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -50,7 +51,6 @@ def test_spec_validation():
         EnsembleSpec(method="ECC", theta_min=0.5)
     with pytest.raises(ConfigError):
         EnsembleSpec(method="ECCRU3", c=10, theta_min=0.05)
-    assert EnsembleSpec(method="ECCRU3").effective_theta_min == 0.5
 
 
 def test_budget_worked_example():
@@ -64,6 +64,14 @@ def test_budget_uniform_case():
     for c in (1, 7, 10):
         budget = compute_classifier_budget([13, 13, 13, 13], EnsembleSpec(method="ECCRU2", c=c))
         assert budget.targets == (c, c, c, c)
+
+
+def test_budget_eccru3_default_floor_is_half_c():
+    # Without theta_min, ECCRU3 lifts each label to at least ceil(c / 2).
+    for c in (1, 5, 10):
+        budget = compute_classifier_budget([1, 1, 1000], EnsembleSpec(method="ECCRU3", c=c))
+        assert budget.raw[2] < math.ceil(c / 2)
+        assert budget.targets[2] == math.ceil(c / 2)
 
 
 def test_budget_eccru3_clamps():
