@@ -110,17 +110,20 @@ def _train_chain(
         width = ds.d + offset
         targets = labels[:, label]
         X, R, y = features[:, :width], ranks[:, :width], targets
+        positives = int(np.count_nonzero(targets))
+        fitted = (positives, targets.shape[0] - positives)
         if streams is not None:
-            if not targets.any() or targets.all():
+            if 0 in fitted:
                 raise SingleClassLabel(
                     f"label {label} is single-class in this training set"
                 )
             kept = random_undersample(targets, streams[offset])
             X, R, y = X[kept], R[kept], y[kept]
-        bd = BinaryDataset(X, y)
-        model = fit_tree(bd, spec, R)
+            # Balanced: the minority class and as many majority rows.
+            fitted = (min(fitted),) * 2
+        model = fit_tree(BinaryDataset._of_checked(X, y), spec, R)
         links.append((label, model))
-        counts.append((bd.positive_count, bd.negative_count))
+        counts.append(fitted)
         if offset < len(chain) - 1:
             column = targets if streams is None else predict_batch(model, features[:, :width])
             features[:, width] = column

@@ -122,6 +122,11 @@ def _typed(key: str, value, kind: type, optional: bool = False):
         raise ConfigError(message) from exc
 
 
+def _file_key(name: str) -> str:
+    """The config-file key of a cv parameter: tree_x is x of the "tree" object."""
+    return name.replace("tree_", "tree.", 1) if name.startswith("tree_") else name
+
+
 def _settings(ctx: click.Context, file_values: dict) -> dict:
     """Each cv setting by parameter name: a flag beats a file key beats the
     default. A file has one key per flag, as in the config echo of
@@ -137,7 +142,7 @@ def _settings(ctx: click.Context, file_values: dict) -> dict:
     else:
         unknown.append("tree (not an object)")
     if unknown:
-        valid = sorted(n.replace("tree_", "tree.", 1) for n in names)
+        valid = sorted(map(_file_key, names))
         raise ConfigError(
             f"unknown config keys: {', '.join(unknown)}; valid: {', '.join(valid)}"
         )
@@ -189,7 +194,9 @@ def cv(ctx: click.Context, config_path: Path | None, **_: object) -> None:
         values = _settings(ctx, file_values)
 
         def get(key: str, kind: type, optional: bool = False):
-            return _typed(key, values[key], kind, optional)
+            # click types the flags, so a wrong type comes from the file:
+            # name the file's key.
+            return _typed(_file_key(key), values[key], kind, optional)
 
         arff = get("arff", Path, optional=True)
         xml = get("xml", Path, optional=True)

@@ -39,11 +39,30 @@ is never at or below the block's float minimum. The two extremes get the
 same floats as the full scan gives them, so taking the lowest feature, then
 the lowest position, among the entries that equal the minimum chooses the
 same split, and the trees are the same as from the full scan.
+
+Small nodes read the Gini from a table. Any other block of a node of at
+most GINI_TABLE_ROWS rows gathers each child's term ((c/s)*2s)*(1-c/s), for
+c positives of s rows, from one table that the process builds on first use
+by the operations weighted_gini applies to each entry: divide, subtract
+from 1, multiply by 2s, multiply. It then adds the two children's terms and
+divides by m, as weighted_gini does. The same operations on the same
+operands give the same IEEE doubles, so every candidate gets the same float
+as from weighted_gini, and the argmin and the tree are the same; the block
+takes 6 numpy calls instead of 11.
+
+Prediction walks a routing table derived once per model, in which both
+children of a leaf are the leaf itself. Every row takes model.depth steps
+from the root, each a gather of its node's feature and threshold, the
+comparison value <= threshold and a gather of the child, and a row that
+reaches a leaf early stays there. The comparison is the one a walk of a
+single row makes, NaN going right, so the votes are the same, without
+keeping a set of the rows still moving.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -86,6 +105,26 @@ class BinaryModel:
     def node_count(self) -> int:
         return self.feature.shape[0]
 
+    @cached_property
+    def _route(self) -> tuple:
+        """predict_batch's (feature, threshold, child, value) over node ids
+        doubled: a row at 2i goes to child[2i + (x[feature[2i]] <=
+        threshold[2i])]. Both children of a leaf are the leaf itself, so a
+        row that reaches it stays, whatever its comparison of the last
+        column (feature -1) gives."""
+        child = np.empty((self.node_count, 2), dtype=np.intp)
+        child[:, 0] = self.right
+        child[:, 1] = self.left
+        leaf = (self.feature < 0)[:, None]
+        np.copyto(child, _steps(self.node_count)[:, None], where=leaf)
+        child *= 2
+        return (
+            self.feature.repeat(2),
+            self.threshold.repeat(2),
+            child.ravel(),
+            self.leaf_value.repeat(2),
+        )
+
 
 # Most list entries that one step of the search works on. A node's features
 # are searched, and a split partitions them, in blocks of consecutive
@@ -105,38 +144,90 @@ SEARCH_CELLS = 1 << 16
 # 0.87-0.95 at 6,144 and 0.81-0.93 at 8,192.
 EXTREMES_CELLS = 6144
 
+# Most rows of a node whose narrow search blocks read the children's Gini
+# terms from _gini_terms' table instead of computing them. The table takes
+# (GINI_TABLE_ROWS + 1)**2 doubles, 0.53 MB at 256.
+GINI_TABLE_ROWS = 256
+
+# 0, 1, 2, ...: one read-only array for the process, whose prefixes serve
+# every fit and walk as row ids and list offsets. It grows by doubling; two
+# threads that grow it at once build equal arrays.
+_STEPS = np.arange(0)
+
+
+def _steps(n: int) -> np.ndarray:
+    """0..n-1, a view of _STEPS."""
+    global _STEPS
+    steps = _STEPS
+    if steps.size < n:
+        steps = np.arange(max(n, 2 * steps.size))
+        steps.flags.writeable = False
+        _STEPS = steps
+    return steps[:n]
+
+
+@cache
+def _gini_terms(rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat table T with T[s * (rows + 1) + c] = ((c/s)*2s)*(1-c/s), a
+    child's term of the weighted Gini for c positives of s rows, by the same
+    float operations as fit_tree's weighted_gini; and the row offsets
+    s * (rows + 1). Built once per process, on first use."""
+    sizes = np.arange(rows + 1, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):  # row 0 is unused
+        share = np.divide(sizes, sizes[:, None])
+        terms = (share * (2.0 * sizes)[:, None]) * (1.0 - share)
+    terms.flags.writeable = False
+    return terms.ravel(), np.arange(0, (rows + 1) ** 2, rows + 1)
+
+
+def _sorted_lists(ranks: np.ndarray, y: np.ndarray) -> tuple:
+    """(ids, codes, targets) of ranks' columns, row f sorted by column f;
+    the ids are argsort's own intp."""
+    columns = np.ascontiguousarray(ranks.T)
+    n = columns.shape[1]
+    ids = columns.argsort(axis=1, kind="stable")
+    codes = columns.take(ids + _steps(columns.size)[::n, None])
+    return ids, codes, y.take(ids)
+
 
 def _presort(ranks: np.ndarray, y: np.ndarray) -> tuple:
     """The root's (ids, codes, targets) lists, row f sorted by feature f.
 
-    Sorted one block of features at a time; joining the blocks' lists at the
-    end holds two copies of them, as a split of the root does.
+    One block of features keeps intp ids, which index without a cast.
+    Several are sorted one block at a time, with int32 ids to bound memory;
+    joining the blocks' lists at the end holds two copies of them, as a
+    split of the root does.
     """
     n, d = ranks.shape
     step = max(1, SEARCH_CELLS // n)
+    if step >= d:
+        return _sorted_lists(ranks, y)
     blocks = []
     for f0 in range(0, d, step):
-        columns = np.ascontiguousarray(ranks[:, f0 : f0 + step].T)
-        order = columns.argsort(axis=1, kind="stable")
-        codes = columns.take(order + np.arange(0, columns.size, n)[:, None])
-        ids = order.astype(np.int32)
-        blocks.append((ids, codes, y.take(ids)))
-    return blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
+        ids, codes, tgt = _sorted_lists(ranks[:, f0 : f0 + step], y)
+        blocks.append((ids.astype(np.int32), codes, tgt))
+    return tuple(map(np.concatenate, zip(*blocks)))
 
 
 def _split_lists(lists: tuple, goes_left: np.ndarray, left_n: int, sides: tuple) -> tuple:
     """The left and right children's (ids, codes, targets) lists, None for a
     side that sides[0] or sides[1] does not ask for. A child keeps the
     entries of its rows in list order, so its lists stay sorted."""
-    nf, m = lists[0].shape
-    mask = goes_left.take(lists[0]).ravel()
-    left = right = None
-    if sides[0]:
-        keep = mask.nonzero()[0]
-        left = tuple(a.take(keep).reshape(nf, left_n) for a in lists)
-    if sides[1]:
-        keep = (~mask).nonzero()[0]
-        right = tuple(a.take(keep).reshape(nf, m - left_n) for a in lists)
+    ids, codes, tgt = lists
+    nf, m = ids.shape
+    mask = goes_left.take(ids).ravel()
+
+    def child(keep: np.ndarray, size: int) -> tuple:
+        keep = keep.nonzero()[0]
+        shape = (nf, size)
+        return (
+            ids.take(keep).reshape(shape),
+            codes.take(keep).reshape(shape),
+            tgt.take(keep).reshape(shape),
+        )
+
+    left = child(mask, left_n) if sides[0] else None
+    right = child(~mask, m - left_n) if sides[1] else None
     return left, right
 
 
@@ -180,9 +271,10 @@ def fit_tree(
     the weighted Gini is strictly concave in that count; the bound on the
     rows keeps the concavity margin above the formula's rounding (see the
     module docstring). A split partitions the three arrays stably, so the
-    children need no sort and no gather from the full matrix. The lists
-    take 7 bytes per (feature, row); a split holds its node's and its
-    children's, so a fit peaks near 14 plus the block-sized buffers.
+    children need no sort and no gather from the full matrix. The lists of
+    a root of several blocks take 7 bytes per (feature, row); a split holds
+    its node's and its children's, so a fit peaks near 14 plus the
+    block-sized buffers. A root of one block keeps 8-byte intp ids instead.
     """
     if bd.n == 0:
         raise ValueError("cannot fit a tree on an empty dataset")
@@ -194,31 +286,17 @@ def fit_tree(
     elif ranks.shape != (n, d):
         raise ValueError(f"ranks has shape {ranks.shape}, expected {(n, d)}")
     min_leaf = spec.min_samples_leaf
-    max_depth = spec.max_depth
+    # A tree of n rows is less than n deep, so n stands for no limit.
+    max_depth = n if spec.max_depth is None else spec.max_depth
+    pos = int(np.count_nonzero(y))
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    leaf_value: list[int] = []
+    # Node i is a leaf while feature[i] is -1; the root is node 0.
+    feature = [-1]
+    threshold = [0.0]
+    left = [-1]
+    right = [-1]
+    leaf_value = [int(2 * pos >= n)]
     max_depth_seen = 0
-
-    def new_node(pos: int, n: int) -> int:
-        idx = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        leaf_value.append(1 if 2 * pos >= n else 0)
-        return idx
-
-    def splittable(pos: int, m: int, depth: int) -> bool:
-        return (
-            0 < pos < m
-            and d > 0
-            and (max_depth is None or depth < max_depth)
-            and m >= 2 * min_leaf
-        )
 
     # Work buffers for one block of the search: a block of the root holds at
     # most max(SEARCH_CELLS, n) list entries, and no node has more rows. A
@@ -238,6 +316,12 @@ def fit_tree(
     tmp_buf = np.empty(size)
     tie_buf = np.empty(size, dtype=bool)
     goes_left = np.empty(n, dtype=bool)
+    table_rows = GINI_TABLE_ROWS
+    terms, row_base = _gini_terms(table_rows)
+    stride = table_rows + 1
+
+    def splittable(pos: int, m: int, depth: int) -> bool:
+        return 0 < pos < m and d > 0 and depth < max_depth and m >= 2 * min_leaf
 
     def weighted_gini(left_pos: np.ndarray, pos: int, m: int, lo: int, hi: int) -> np.ndarray:
         """The weighted Gini of the split after each position lo..hi-1 of a
@@ -261,14 +345,23 @@ def fit_tree(
         np.divide(gini, m, out=gini)
         return gini
 
-    pos = int(y.sum())
-    root = new_node(pos, n)
-    lists = None
-    if splittable(pos, n, 0):
-        lists = _presort(ranks, y)
+    def table_gini(left_pos: np.ndarray, pos: int, m: int, lo: int, hi: int) -> np.ndarray:
+        """weighted_gini of a node of at most table_rows rows: each child's
+        term ln*2*pl*(1-pl) is read from the table, which holds the floats
+        that weighted_gini computes for it, so the sum and quotient are the
+        same too (see the module docstring)."""
+        # The left child's entry is ln * stride + lp; the right child's,
+        # rn * stride + pos - lp, is m * stride + pos minus the left's.
+        at = left_pos + row_base[lo + 1 : hi + 1]
+        gini = terms.take(at)
+        np.subtract(m * stride + pos, at, out=at)
+        gini += terms.take(at)
+        gini /= m
+        return gini
+
     # Explicit stack: unlimited-depth trees can exceed the recursion limit.
     # A node pushed without lists is a leaf.
-    stack = [(root, lists, 0, pos)]
+    stack = [(0, _presort(ranks, y) if splittable(pos, n, 0) else None, 0, pos)]
     while stack:
         node, lists, depth, pos = stack.pop()
         max_depth_seen = max(max_depth_seen, depth)
@@ -283,10 +376,13 @@ def fit_tree(
         best_gini = 1.0
         # Features per block: as many lists as SEARCH_CELLS entries hold.
         step = max(1, SEARCH_CELLS // m)
+        narrow_gini = table_gini if m <= table_rows else weighted_gini
         for f0 in range(0, d, step):
             nf = min(step, d - f0)
-            cum = tgt[f0 : f0 + nf].cumsum(
-                axis=1, dtype=count_type, out=cum_buf[: nf * m].reshape(nf, m)
+            # ufunc.accumulate is what the cumsum method calls, minus about
+            # 1 us of lookup per call.
+            cum = np.add.accumulate(
+                tgt[f0 : f0 + nf], axis=1, dtype=count_type, out=cum_buf[: nf * m].reshape(nf, m)
             )
             left_pos = cum[:, lo:hi]
             # A split between equal codes is not a candidate. Comparing the
@@ -317,7 +413,7 @@ def fit_tree(
                 # whose Ginis can be negative: overwrite them with 1.
                 np.copyto(gini, 1.0, where=ends[0] < 0)
             else:
-                gini = weighted_gini(left_pos, pos, m, lo, hi)
+                gini = narrow_gini(left_pos, pos, m, lo, hi)
                 # Add 1 at equal codes, above any weighted Gini (at most
                 # 0.5), leaving the others exact.
                 np.add(gini, tie, out=gini)
@@ -354,18 +450,22 @@ def fit_tree(
         left_n = at + 1
         right_n = m - left_n
         rpos = pos - lpos
+        lchild = len(feature)
         feature[node] = feat
         threshold[node] = thr
-        lchild = new_node(lpos, left_n)
-        rchild = new_node(rpos, right_n)
         left[node] = lchild
-        right[node] = rchild
+        right[node] = lchild + 1
+        feature += (-1, -1)
+        threshold += (0.0, 0.0)
+        left += (-1, -1)
+        right += (-1, -1)
+        leaf_value += (int(2 * lpos >= left_n), int(2 * rpos >= right_n))
         # Children that will be leaves get no lists.
         sides = (splittable(lpos, left_n, depth + 1), splittable(rpos, right_n, depth + 1))
         left_lists = right_lists = None
         if any(sides):
-            goes_left[ids[feat, :left_n]] = True
-            goes_left[ids[feat, left_n:]] = False
+            goes_left.put(ids[feat, :left_n], True)
+            goes_left.put(ids[feat, left_n:], False)
             # One block splits faster with _split_lists than with _partition's
             # preallocated fill. Routing every node through _partition took a
             # flags-protocol seed-3 run_cv (18,533 one-block splits) from 0.34
@@ -376,7 +476,7 @@ def fit_tree(
             else:
                 left_lists, right_lists = _partition(lists, goes_left, left_n, sides, step)
         stack.append((lchild, left_lists, depth + 1, lpos))
-        stack.append((rchild, right_lists, depth + 1, rpos))
+        stack.append((lchild + 1, right_lists, depth + 1, rpos))
 
     return BinaryModel(
         feature=np.array(feature, dtype=np.int32),
@@ -396,14 +496,11 @@ def predict_batch(model: BinaryModel, X: np.ndarray) -> np.ndarray:
         raise ArityMismatch(
             f"expected {model.n_features} features, got shape {X.shape}"
         )
-    node = np.zeros(X.shape[0], dtype=np.int64)
-    while True:
-        feats = model.feature[node]
-        active = np.flatnonzero(feats >= 0)
-        if active.size == 0:
-            break
-        cur = node[active]
-        go_left = X[active, model.feature[cur]] <= model.threshold[cur]
-        node[active] = np.where(go_left, model.left[cur], model.right[cur])
-    return model.leaf_value[node].astype(np.int8)
+    feature, threshold, child, value = model._route
+    rows = _steps(X.shape[0])
+    # Every row walks model.depth steps; one that reaches a leaf early stays.
+    at = np.zeros(X.shape[0], dtype=np.intp)
+    for _ in range(model.depth):
+        at = child.take(at + (X[rows, feature.take(at)] <= threshold.take(at)))
+    return value.take(at)
 

@@ -57,13 +57,24 @@ class BinaryDataset:
     targets: np.ndarray
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
-        targs = np.asarray(self.targets)
+        self._settle(self.features, self.targets, checked=False)
+
+    @classmethod
+    def _of_checked(cls, features: np.ndarray, targets: np.ndarray) -> "BinaryDataset":
+        """A dataset whose targets come from an already validated label
+        matrix, built without checking again that they are 0/1."""
+        bd = object.__new__(cls)
+        bd._settle(features, targets, checked=True)
+        return bd
+
+    def _settle(self, features, targets, checked: bool) -> None:
+        feats = np.asarray(features, dtype=np.float64)
+        targs = np.asarray(targets)
         if feats.ndim != 2 or targs.ndim != 1:
             raise ValueError("features must be 2-D and targets 1-D")
         if feats.shape[0] != targs.shape[0]:
             raise ValueError("features and targets disagree on row count")
-        if not ((targs == 0) | (targs == 1)).all():
+        if not checked and not ((targs == 0) | (targs == 1)).all():
             raise ValueError("targets must be 0/1")
         targs = targs.astype(np.int8, copy=False)
         object.__setattr__(self, "features", feats)
@@ -72,14 +83,6 @@ class BinaryDataset:
     @property
     def n(self) -> int:
         return self.targets.shape[0]
-
-    @property
-    def positive_count(self) -> int:
-        return int(self.targets.sum())
-
-    @property
-    def negative_count(self) -> int:
-        return self.n - self.positive_count
 
 
 def bootstrap(ds: MultiLabelDataset, rng: RngStream) -> np.ndarray:
@@ -94,13 +97,14 @@ def random_undersample(targets: np.ndarray, rng: RngStream) -> np.ndarray:
     """The row ids that balance a 0/1 target vector, in increasing order.
 
     Majority rows are dropped uniformly at random until both classes are
-    equal; every minority row is kept. Requires both classes present.
+    equal; every minority row is kept. Requires both classes present, and
+    integer or boolean targets.
     """
     n = targets.shape[0]
-    pos = int(np.count_nonzero(targets == 1))
-    neg = int(np.count_nonzero(targets == 0))
-    if pos + neg != n:
+    counts = np.bincount(targets, minlength=2)
+    if counts.size != 2:
         raise ValueError("targets must be 0/1")
+    neg, pos = counts.tolist()
     if pos == 0 or neg == 0:
         raise SingleClassInput(
             f"undersampling needs both classes, got {pos} positives / {neg} negatives"

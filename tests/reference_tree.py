@@ -138,3 +138,15 @@ def fit_tree(bd: BinaryDataset, spec: TreeSpec) -> BinaryModel:
         n_features=X.shape[1],
         depth=max_depth_seen,
     )
+
+
+def predict_row(model: BinaryModel, row) -> int:
+    """The vote for one row, walking from the root one node at a time: left
+    when the value is <= the threshold, right otherwise (NaN included)."""
+    node = 0
+    while model.feature[node] >= 0:
+        if row[model.feature[node]] <= model.threshold[node]:
+            node = model.left[node]
+        else:
+            node = model.right[node]
+    return int(model.leaf_value[node])

@@ -248,12 +248,13 @@ def test_cv_out_of_range_values_exit_2(runner, dataset_files, tmp_path, flags):
         ({"c": None}, "c"),
         ({"c": "ten"}, "c"),
         ({"methods": 5}, "methods"),
-        ({"tree": {"max_depth": "deep"}}, "tree_max_depth"),
+        ({"tree": {"max_depth": "deep"}}, "tree.max_depth"),
         ({"c": True}, "c"),
         ({"c": 2.9}, "c"),
         ({"repeats": 1.5}, "repeats"),
         ({"seed": 3.7}, "seed"),
         ({"theta_max": True}, "theta_max"),
+        ({"tree": {"min_samples_leaf": 1.5}}, "tree.min_samples_leaf"),
     ],
 )
 def test_cv_config_wrong_type_exits_2(runner, dataset_files, tmp_path, override, key):

@@ -16,6 +16,7 @@ from chainbalance.learner import TreeSpec, fit_tree, predict_batch
 from chainbalance.sampling import BinaryDataset
 from conftest import model_payload
 from reference_tree import fit_tree as reference_fit_tree
+from reference_tree import predict_row as reference_predict_row
 
 UNLIMITED = TreeSpec(max_depth=None, min_samples_leaf=1)
 
@@ -181,9 +182,12 @@ def _features(kind: str, n: int, d: int, gen: np.random.Generator) -> np.ndarray
     st.integers(1, 4),
     st.sampled_from([None, 0, 1, 2, 3]),
     st.sampled_from([None, "own", "superset"]),
+    st.sampled_from([None, 0, 1 << 10]),
     st.integers(0, 2**32 - 1),
 )
-def test_fit_tree_matches_reference_kernel(kind, n, d, min_leaf, max_depth, codes, seed):
+def test_fit_tree_matches_reference_kernel(kind, n, d, min_leaf, max_depth, codes, table, seed):
+    # GINI_TABLE_ROWS 0 sends every narrow block through weighted_gini; the
+    # default and 1,024 read every node of these sizes from the table.
     gen = np.random.default_rng(seed)
     X = _features(kind, n, d, gen)
     ranks = None
@@ -198,7 +202,10 @@ def test_fit_tree_matches_reference_kernel(kind, n, d, min_leaf, max_depth, code
     y = (gen.random(n) < gen.random()).astype(np.int8)
     bd = BinaryDataset(X, y)
     spec = TreeSpec(max_depth=max_depth, min_samples_leaf=min_leaf)
-    assert model_payload(fit_tree(bd, spec, ranks)) == model_payload(reference_fit_tree(bd, spec))
+    table = learner_module.GINI_TABLE_ROWS if table is None else table
+    with mock.patch.object(learner_module, "GINI_TABLE_ROWS", table):
+        model = fit_tree(bd, spec, ranks)
+    assert model_payload(model) == model_payload(reference_fit_tree(bd, spec))
 
 
 @settings(max_examples=200, deadline=None)
@@ -343,6 +350,61 @@ def test_extremes_search_with_int32_counts():
     assert model.node_count == 7
     assert model_payload(model) == model_payload(full)
     assert model_payload(model) == model_payload(reference_fit_tree(BinaryDataset(X, y), spec))
+
+
+def test_gini_table_holds_weighted_gini_terms():
+    # Each entry is the float that weighted_gini's operations give one
+    # child of s rows and c positives: divide, 1 - p, times 2s, times (1 - p).
+    rows = learner_module.GINI_TABLE_ROWS
+    terms, row_base = learner_module._gini_terms(rows)
+    assert terms.nbytes <= 0.6e6 and not terms.flags.writeable
+    assert row_base.tolist() == [s * (rows + 1) for s in range(rows + 1)]
+    for s in range(1, rows + 1):
+        c = np.arange(s + 1, dtype=np.int16)
+        share = np.divide(c, np.full(s + 1, float(s)))
+        rest = np.subtract(1.0, share)
+        expected = np.multiply(np.multiply(share, np.full(s + 1, 2.0 * s)), rest)
+        got = terms[row_base[s] : row_base[s] + s + 1]
+        assert got.tobytes() == expected.tobytes(), s
+
+
+def _views(X: np.ndarray, kind: str) -> np.ndarray:
+    """X itself, or equal values laid out as a view that predict_batch
+    must read through: the prefix columns of a wider buffer, reversed
+    rows and columns of a copy, or Fortran order."""
+    if kind == "prefix":
+        wide = np.hstack([X, np.full((X.shape[0], 3), np.nan)])
+        return wide[:, : X.shape[1]]
+    if kind == "reversed":
+        return X[::-1, ::-1].copy()[::-1, ::-1]
+    if kind == "fortran":
+        return np.asfortranarray(X)
+    return X
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 5),
+    st.integers(0, 30),
+    st.sampled_from([None, 0, 1, 3]),
+    st.sampled_from(["c", "prefix", "reversed", "fortran"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_predict_batch_matches_row_walk(n, d, rows, max_depth, view, seed):
+    # Trees of one leaf (pure targets, depth 0) and deeper ones, scored on
+    # zero or more rows that mix seen values, NaN and +-inf.
+    gen = np.random.default_rng(seed)
+    X = gen.integers(0, 4, size=(n, d)).astype(np.float64)
+    y = (gen.random(n) < gen.random()).astype(np.int8)
+    model = fit_tree(BinaryDataset(X, y), TreeSpec(max_depth=max_depth, min_samples_leaf=1))
+    Q = gen.choice([1.5, np.nan, np.inf, -np.inf], size=(rows, d))
+    seen = gen.random((rows, d)) < 0.6
+    Q[seen] = X[gen.integers(0, n, size=rows)][seen]
+    Q = _views(Q, view)
+    preds = predict_batch(model, Q)
+    assert preds.dtype == np.int8 and preds.shape == (rows,)
+    assert preds.tolist() == [reference_predict_row(model, row) for row in Q]
 
 
 def test_fit_memory_is_bounded_per_feature_row():

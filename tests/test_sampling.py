@@ -149,6 +149,41 @@ def test_undersample_properties(pos, neg, seed):
     assert original == surviving
 
 
+def _parent_undersample(targets: np.ndarray, rng: RngStream) -> np.ndarray:
+    """random_undersample as it was before it counted classes with one call."""
+    n = targets.shape[0]
+    pos = int(np.count_nonzero(targets == 1))
+    neg = int(np.count_nonzero(targets == 0))
+    if pos == neg:
+        return np.arange(n)
+    majority_rows = np.flatnonzero(targets == (1 if pos > neg else 0))
+    gen = rng.generator()
+    removed = gen.choice(majority_rows, size=abs(pos - neg), replace=False)
+    keep = np.ones(n, dtype=bool)
+    keep[removed] = False
+    return np.flatnonzero(keep)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 80),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(0, 2**16), max_size=4),
+    st.sampled_from([np.int8, np.int64, bool]),
+)
+def test_undersample_draws_as_before(n, rate, seed, path, dtype):
+    # The same ids as the parent's formulation, draw for draw: the class
+    # counts changed, the generator call did not.
+    gen = np.random.default_rng(seed)
+    targets = (gen.random(n) < rate).astype(dtype)
+    targets[gen.choice(n, size=2, replace=False)] = [0, 1]  # both classes
+    stream = RngStream(seed % 1000, tuple(path))
+    kept = random_undersample(targets, stream)
+    assert kept.dtype == np.intp
+    assert np.array_equal(kept, _parent_undersample(targets, stream))
+
+
 def test_binary_dataset_targets():
     bd = BinaryDataset(np.zeros((3, 1)), [0.0, 1.0, 1.0])
     assert bd.targets.dtype == np.int8 and bd.targets.tolist() == [0, 1, 1]
