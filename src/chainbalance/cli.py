@@ -21,7 +21,7 @@ from .dataset import (
     summarize,
 )
 from .errors import ChainbalanceError, ConfigError
-from .experiment import ExperimentConfig, collect_rank_matrix, run_cv
+from .experiment import ExperimentConfig, collect_rank_matrix, run_cv, write_json
 from .learner import TreeSpec
 from .metrics import METRIC_KEYS, average_ranks
 from .sampling import RngStream
@@ -96,7 +96,7 @@ def stats(arff_path: Path, xml_path: Path, feature_keep_fraction: float | None,
                     asdict(s) | {"name": ds.label_names[s.label_index]} for s in per_label
                 ],
             }
-            json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            write_json(json_path, payload, indent=2, sort_keys=True)
 
     _guard(body)
 

@@ -197,15 +197,27 @@ def run_cv(config: ExperimentConfig) -> dict:
         "methods": methods_payload,
     }
 
-    (out_dir / "cv_results.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out_dir / "cv_results.json", payload, indent=2, sort_keys=True)
     timings = {
         "methods": {m: method_records[m]["timings"] for m in config.methods}
     }
-    (out_dir / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
+    write_json(out_dir / "timings.json", timings, indent=2)
     _write_per_label_csv(out_dir / "per_label.csv", config.methods, method_records)
     return payload
+
+
+def write_json(path: Path, obj, *, indent: int | None = None,
+               sort_keys: bool = False) -> None:
+    """Write the bytes of json.dumps(obj, indent=indent, sort_keys=sort_keys)
+    plus a newline to path.
+
+    The encoder writes into the open file as it goes. json.dumps with an
+    indent runs the pure-Python encoder and holds every chunk and then their
+    join, about five times the file.
+    """
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(obj, handle, indent=indent, sort_keys=sort_keys)
+        handle.write("\n")
 
 
 def _write_per_label_csv(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,12 @@ from chainbalance.ensemble import (
     train_ensemble,
 )
 from chainbalance.errors import ConfigError
-from chainbalance.experiment import ExperimentConfig, collect_rank_matrix, run_cv
+from chainbalance.experiment import (
+    ExperimentConfig,
+    collect_rank_matrix,
+    run_cv,
+    write_json,
+)
 from chainbalance.learner import TreeSpec
 from chainbalance.metrics import build_report
 from chainbalance.sampling import RngStream, iterative_stratified_kfold
@@ -121,6 +127,56 @@ def test_run_cv_outputs_pinned(tmp_path, monkeypatch):
         for name in _PINNED_CV_SHA256
     }
     assert digests == _PINNED_CV_SHA256
+
+
+def test_run_cv_timings_layout(files, tmp_path):
+    arff, xml = files
+    run_cv(_config(arff, xml, tmp_path))
+    text = (tmp_path / "timings.json").read_text()
+    timings = json.loads(text)
+    # Insertion order and an indent of 2, as json.dumps(timings, indent=2).
+    assert text == json.dumps(timings, indent=2) + "\n"
+    assert list(timings["methods"]) == ["BR", "ECCRU"]
+    for records in timings["methods"].values():
+        assert [(r["repeat"], r["fold"]) for r in records] == [
+            (0, 0), (0, 1), (1, 0), (1, 1)
+        ]
+        assert all(list(r) == ["repeat", "fold", "train_seconds"] for r in records)
+
+
+def test_write_json_matches_dumps(tmp_path):
+    obj = {
+        "z": [1, 2.5, -0.0, 1e-300, None, True, False, float("nan")],
+        "a": {"é": "ünïcode", "nested": [[], {}, [{"k": 3}]]},
+        "m": 0.1 + 0.2,
+    }
+    # Non-ASCII text is escaped, so the bytes do not depend on the encoding.
+    for sort_keys in (True, False):
+        path = tmp_path / f"{sort_keys}.json"
+        write_json(path, obj, indent=2, sort_keys=sort_keys)
+        expected = json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n"
+        assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_write_json_holds_no_copy_of_the_file(tmp_path):
+    # A results-shaped payload of one fold record repeated: about 10.8 MB
+    # encoded, yet a few kB as objects. Encoding it into one string would
+    # trace about five times the file.
+    per_label = [
+        {"label_index": j, "auc_pr": 0.1 * j + 1 / 3, "auc_roc": None, "g_mean": 2 / 3}
+        for j in range(20)
+    ]
+    fold = {"repeat": 0, "fold": 1, "report": {"macro": per_label[0], "per_label": per_label}}
+    payload = {"schema": "synthetic", "methods": {"BR": {"folds": [fold] * 2_600}}}
+    path = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        write_json(path, payload, indent=2, sort_keys=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size >= 10_000_000
+    assert peak < 1_000_000
 
 
 def test_run_cv_deterministic_incl_parallel(files, tmp_path):
