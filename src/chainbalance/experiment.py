@@ -14,11 +14,12 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import load_mulan_files, reduce_features_by_frequency
+from .dataset import MultiLabelDataset, load_mulan_files, reduce_features_by_frequency
 from .ensemble import (
     EnsembleSpec,
     instance_budget,
@@ -105,81 +106,84 @@ def _means(reports: list[dict]) -> dict:
     }
 
 
+def _method_entry(fold_records: list[dict], repeats: int) -> dict:
+    """A method's entry in cv_results.json: its fold records and their means."""
+    return {
+        "folds": fold_records,
+        "repeat_means": [
+            {"repeat": repeat}
+            | _means([rec["report"] for rec in fold_records if rec["repeat"] == repeat])
+            for repeat in range(repeats)
+        ],
+        "overall": _means([rec["report"] for rec in fold_records]),
+        "instance_budget_mean": mean_defined(
+            [float(rec["instance_budget"]) for rec in fold_records]
+        ),
+    }
+
+
+def run_cell(ds: MultiLabelDataset, fold_of: np.ndarray, config: ExperimentConfig,
+             repeat: int, fold: int, method_idx: int) -> tuple[dict, float]:
+    """One (repeat, fold, method) cell: train config.methods[method_idx] on
+    the rows outside fold (fold_of holds that repeat's fold id of each row),
+    score every row and report on both halves. Returns the cell's fold
+    record and its training seconds. A cell reads only its arguments, so
+    cells may be computed in any order.
+    """
+    test_rows = np.flatnonzero(fold_of == fold)
+    train_rows = np.flatnonzero(fold_of != fold)
+    train_ds = ds.take_rows(train_rows)
+    seed = derive_seed(config.seed, _METHOD_SEED, repeat, fold, method_idx)
+    spec = config.ensemble_spec(config.methods[method_idx], seed)
+    started = time.perf_counter()
+    model = train_ensemble(train_ds, spec, n_jobs=config.n_jobs)
+    elapsed = time.perf_counter() - started
+    # Trees predict row by row, so one call scores both halves.
+    scores = predict_relevance_batch(model, ds.features)
+    report = build_report(
+        scores[train_rows], train_ds.labels, scores[test_rows], ds.labels[test_rows],
+        skipped_label_count=len(model.skipped_labels),
+    )
+    return {
+        "repeat": repeat,
+        "fold": fold,
+        "train_rows": int(train_ds.n),
+        "test_rows": len(test_rows),
+        "instance_budget": instance_budget(train_ds, model),
+        "classifier_counts": model.vote_counts.tolist(),
+        "report": report,
+    }, elapsed
+
+
 def run_cv(config: ExperimentConfig) -> dict:
     """Run the experiment and write result files into config.out_dir.
 
     Writes cv_results.json (deterministic), per_label.csv, and timings.json.
     Returns the cv_results payload. The directory is made first, so a path
-    that cannot hold it fails before any training.
+    that cannot hold it fails before any training. Every repeat's folds are
+    split, and the dataset ranked, before any cell runs.
     """
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ds = load_mulan_files(config.arff_path, config.xml_path)
     if config.feature_keep_fraction is not None:
         ds = reduce_features_by_frequency(ds, config.feature_keep_fraction)
-
     master = RngStream(config.seed)
-    method_records: dict[str, dict] = {
-        m: {"folds": [], "timings": []} for m in config.methods
+    fold_ofs = [
+        iterative_stratified_kfold(ds, config.folds, master.child(_FOLD_SPLIT, repeat))
+        for repeat in range(config.repeats)
+    ]
+    # Codes ranked on all rows order each training half like its own codes,
+    # so every cell gathers these instead of ranking its half again.
+    ds.ranks
+    n_methods = len(config.methods)
+    cells = product(range(config.repeats), range(config.folds), range(n_methods))
+    outcomes = [run_cell(ds, fold_ofs[r], config, r, f, m) for r, f, m in cells]
+    # A method's cells are every n_methods-th outcome, in (repeat, fold) order.
+    per_method = {
+        method: outcomes[i::n_methods] for i, method in enumerate(config.methods)
     }
-
-    for repeat in range(config.repeats):
-        fold_of = iterative_stratified_kfold(
-            ds, config.folds, master.child(_FOLD_SPLIT, repeat)
-        )
-        for fold_idx in range(config.folds):
-            test_rows = np.flatnonzero(fold_of == fold_idx)
-            train_rows = np.flatnonzero(fold_of != fold_idx)
-            train_ds = ds.take_rows(train_rows)
-            for method_idx, method in enumerate(config.methods):
-                seed = derive_seed(
-                    config.seed, _METHOD_SEED, repeat, fold_idx, method_idx
-                )
-                spec = config.ensemble_spec(method, seed)
-                started = time.perf_counter()
-                model = train_ensemble(train_ds, spec, n_jobs=config.n_jobs)
-                elapsed = time.perf_counter() - started
-                # Trees predict row by row, so one call scores both halves.
-                scores = predict_relevance_batch(model, ds.features)
-                report = build_report(
-                    scores[train_rows],
-                    train_ds.labels,
-                    scores[test_rows],
-                    ds.labels[test_rows],
-                    skipped_label_count=len(model.skipped_labels),
-                )
-                method_records[method]["folds"].append(
-                    {
-                        "repeat": repeat,
-                        "fold": fold_idx,
-                        "train_rows": int(train_ds.n),
-                        "test_rows": len(test_rows),
-                        "instance_budget": instance_budget(train_ds, model),
-                        "classifier_counts": model.vote_counts.tolist(),
-                        "report": report,
-                    }
-                )
-                method_records[method]["timings"].append(
-                    {"repeat": repeat, "fold": fold_idx, "train_seconds": elapsed}
-                )
-
-    methods_payload = {}
-    for method in config.methods:
-        fold_records = method_records[method]["folds"]
-        reports = [rec["report"] for rec in fold_records]
-        repeat_means = [
-            {"repeat": repeat}
-            | _means([rec["report"] for rec in fold_records if rec["repeat"] == repeat])
-            for repeat in range(config.repeats)
-        ]
-        methods_payload[method] = {
-            "folds": fold_records,
-            "repeat_means": repeat_means,
-            "overall": _means(reports),
-            "instance_budget_mean": mean_defined(
-                [float(rec["instance_budget"]) for rec in fold_records]
-            ),
-        }
+    folds = {method: [rec for rec, _ in done] for method, done in per_method.items()}
 
     # The echo leaves out n_jobs and out_dir, which do not change the results,
     # and holds what json.loads would give back.
@@ -194,15 +198,19 @@ def run_cv(config: ExperimentConfig) -> dict:
         "schema": RESULTS_SCHEMA,
         "config": echo,
         "dataset": {"n": ds.n, "d": ds.d, "q": ds.q, "relation": ds.relation},
-        "methods": methods_payload,
+        "methods": {m: _method_entry(recs, config.repeats) for m, recs in folds.items()},
     }
 
     write_json(out_dir / "cv_results.json", payload, indent=2, sort_keys=True)
     timings = {
-        "methods": {m: method_records[m]["timings"] for m in config.methods}
+        method: [
+            {"repeat": rec["repeat"], "fold": rec["fold"], "train_seconds": seconds}
+            for rec, seconds in done
+        ]
+        for method, done in per_method.items()
     }
-    write_json(out_dir / "timings.json", timings, indent=2)
-    _write_per_label_csv(out_dir / "per_label.csv", config.methods, method_records)
+    write_json(out_dir / "timings.json", {"methods": timings}, indent=2)
+    _write_per_label_csv(out_dir / "per_label.csv", folds)
     return payload
 
 
@@ -220,26 +228,16 @@ def write_json(path: Path, obj, *, indent: int | None = None,
         handle.write("\n")
 
 
-def _write_per_label_csv(
-    path: Path, methods: tuple[str, ...], method_records: dict[str, dict]
-) -> None:
+def _write_per_label_csv(path: Path, folds: dict[str, list[dict]]) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["method", "repeat", "fold", "label_index", "metric", "value"])
-        for method in methods:
-            for rec in method_records[method]["folds"]:
+        for method, fold_records in folds.items():
+            for rec in fold_records:
                 for row in rec["report"]["per_label"]:
+                    head = [method, rec["repeat"], rec["fold"], row["label_index"]]
                     for key in METRIC_KEYS:
-                        writer.writerow(
-                            [
-                                method,
-                                rec["repeat"],
-                                rec["fold"],
-                                row["label_index"],
-                                key,
-                                "" if row[key] is None else row[key],
-                            ]
-                        )
+                        writer.writerow(head + [key, "" if row[key] is None else row[key]])
 
 
 def collect_rank_matrix(

@@ -3,11 +3,14 @@ from __future__ import annotations
 import hashlib
 import json
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chainbalance.dataset as dataset_mod
+from chainbalance.dataset import load_mulan_files
 from chainbalance.ensemble import (
     METHODS,
     EnsembleSpec,
@@ -16,8 +19,10 @@ from chainbalance.ensemble import (
 )
 from chainbalance.errors import ConfigError
 from chainbalance.experiment import (
+    _FOLD_SPLIT,
     ExperimentConfig,
     collect_rank_matrix,
+    run_cell,
     run_cv,
     write_json,
 )
@@ -127,6 +132,56 @@ def test_run_cv_outputs_pinned(tmp_path, monkeypatch):
         for name in _PINNED_CV_SHA256
     }
     assert digests == _PINNED_CV_SHA256
+
+
+def test_cells_computed_alone_in_reverse_order_equal_run_cv_folds(tmp_path, monkeypatch):
+    # The inputs of test_run_cv_outputs_pinned. Each cell runs on its own, on
+    # a dataset that was never ranked as a whole, after the cells that follow
+    # it in run_cv's order, and must still give run_cv's fold record.
+    monkeypatch.chdir(tmp_path)
+    ds = make_dataset(80, [0.0, 0.15, 0.4], seed=9, relation="pinned")
+    arff, xml = write_dataset_files(ds, Path("."))
+    config = ExperimentConfig(
+        arff_path=Path(arff),
+        xml_path=Path(xml),
+        out_dir=Path("out"),
+        methods=METHODS,
+        c=2,
+        theta_min=0.5,
+        repeats=2,
+        folds=2,
+        seed=3,
+    )
+    payload = run_cv(config)
+    loaded = load_mulan_files(config.arff_path, config.xml_path)
+    fold_ofs = [
+        iterative_stratified_kfold(
+            loaded, config.folds, RngStream(config.seed).child(_FOLD_SPLIT, repeat)
+        )
+        for repeat in range(config.repeats)
+    ]
+    cells = list(product(range(config.repeats), range(config.folds), range(len(METHODS))))
+    for repeat, fold, m in reversed(cells):
+        record, seconds = run_cell(loaded, fold_ofs[repeat], config, repeat, fold, m)
+        assert seconds >= 0.0
+        expected = payload["methods"][METHODS[m]]["folds"][repeat * config.folds + fold]
+        assert record == expected
+    assert "ranks" not in loaded.__dict__
+
+
+def test_run_cv_ranks_the_dataset_once(files, tmp_path, monkeypatch):
+    arff, xml = files
+    shapes = []
+    rank_codes = dataset_mod.rank_codes
+
+    def counted(X):
+        shapes.append(X.shape)
+        return rank_codes(X)
+
+    monkeypatch.setattr(dataset_mod, "rank_codes", counted)
+    payload = run_cv(_config(arff, xml, tmp_path, repeats=2, folds=3))
+    # Once, on every row: no training half is ranked again.
+    assert shapes == [(payload["dataset"]["n"], payload["dataset"]["d"])]
 
 
 def test_run_cv_timings_layout(files, tmp_path):
