@@ -17,7 +17,6 @@ from .ensemble import (
     EnsembleModel,
     EnsembleSpec,
     compute_classifier_budget,
-    instance_budget,
     predict_relevance_batch,
     train_ensemble,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "exploitation_probability_mc",
     "fit_tree",
     "imr_bucket_report",
-    "instance_budget",
     "iterative_stratified_kfold",
     "load_mulan",
     "load_mulan_files",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import MultiLabelDataset
-from .errors import ArityMismatch, SingleClassLabel
+from .errors import ArityMismatch, SingleClassInput
 from .learner import BinaryModel, TreeSpec, fit_tree, predict_batch
 from .sampling import BinaryDataset, RngStream, random_undersample
 
@@ -114,7 +114,7 @@ def _train_chain(
         fitted = (positives, targets.shape[0] - positives)
         if streams is not None:
             if 0 in fitted:
-                raise SingleClassLabel(
+                raise SingleClassInput(
                     f"label {label} is single-class in this training set"
                 )
             kept = random_undersample(targets, streams[offset])

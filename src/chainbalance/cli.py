@@ -205,11 +205,13 @@ def cv(ctx: click.Context, config_path: Path | None, **_: object) -> None:
             raise ConfigError("arff, xml, and methods are required")
         if isinstance(methods, str):
             methods = [m.strip() for m in methods.split(",") if m.strip()]
+        elif not (isinstance(methods, list) and all(isinstance(m, str) for m in methods)):
+            raise ConfigError(f"methods must be a string or a list of strings, got {methods!r}")
         config = ExperimentConfig(
             arff_path=arff,
             xml_path=xml,
             out_dir=get("out_dir", Path),
-            methods=_typed("methods", methods, tuple),
+            methods=tuple(methods),
             c=get("c", int),
             theta_max=get("theta_max", float),
             theta_min=get("theta_min", float, optional=True),

@@ -52,7 +52,8 @@ class Attribute:
 class MultiLabelDataset:
     """Immutable feature/label matrices with attribute metadata.
 
-    features: (n, d) float64 matrix; nominal attributes hold category codes.
+    features: (n, d) float64 matrix without NaN, which no split can order;
+              nominal attributes hold category codes.
     labels:   (n, q) int8 matrix restricted to {0, 1}.
     label_names and feature_kinds preserve declaration order.
     ranks:    rank_codes(features), computed on first use and then cached.
@@ -71,6 +72,8 @@ class MultiLabelDataset:
             raise ValueError("features and labels must be 2-D matrices")
         if feats.shape[0] != labs.shape[0]:
             raise ValueError("features and labels disagree on row count")
+        if np.isnan(feats).any():
+            raise ValueError("features must not be NaN")
         if feats.shape[0] < 1:
             raise ValueError("dataset needs at least one row")
         if labs.shape[1] < 1:

@@ -129,7 +129,10 @@ class EnsembleModel:
     vote_counts[k] is the number of fitted binary classifiers whose target is
     label k; it normalizes the vote sums at prediction time, and is 0 for a
     label that every round dropped. Labels that were single-class at training
-    time are served by their constant class.
+    time are served by their constant class. instance_budget is the paper's
+    nominal training budget: n rows per plain fit and 2*m_k per balanced fit
+    of label k, for the n rows and minority counts m_k of the training set.
+    Bootstrap draws are not counted, so it is not the number of rows fitted.
     """
 
     method: str
@@ -138,6 +141,7 @@ class EnsembleModel:
     q: int
     base_arity: int
     skipped_labels: dict[int, int]
+    instance_budget: int
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.vote_counts, dtype=np.int64)
@@ -313,9 +317,11 @@ def train_ensemble(
     ]
     chains = _run_tasks(tasks, n_jobs)
     vote_counts = np.zeros(ds.q, dtype=np.int64)
+    budget = 0
     for chain in chains:
         for label, _ in chain.links:
             vote_counts[label] += 1
+            budget += 2 * stats[label].minority_count if method.undersampled else ds.n
     return EnsembleModel(
         method=spec.method,
         chains=tuple(chains),
@@ -323,6 +329,7 @@ def train_ensemble(
         q=ds.q,
         base_arity=ds.d,
         skipped_labels=skipped,
+        instance_budget=budget,
     )
 
 
@@ -347,20 +354,3 @@ def predict_relevance_batch(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
     for label, constant in model.skipped_labels.items():
         votes[:, label] = float(constant)
     return votes
-
-
-def instance_budget(ds: MultiLabelDataset, model: EnsembleModel) -> int:
-    """The paper's nominal training budget of a model trained on ds.
-
-    Sums over the classifiers the model holds: a plain fit counts n rows and
-    a balanced fit of label k counts 2*m_k, where m_k is label k's minority
-    count in ds. Bootstrap draws are not counted, so this is not the number
-    of rows actually fitted.
-    """
-    undersampled = _METHOD_TABLE[model.method].undersampled
-    stats = all_label_stats(ds)
-    return sum(
-        int(count) * (2 * stats[k].minority_count if undersampled else ds.n)
-        for k, count in enumerate(model.vote_counts)
-    )
-

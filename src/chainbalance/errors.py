@@ -39,11 +39,8 @@ class AllLabelsDegenerate(DataError):
 
 
 class SingleClassInput(DataError):
-    """A binary training set with only one class where both are required."""
-
-
-class SingleClassLabel(DataError):
-    """A chained label with only one class in the training data."""
+    """A binary training set, such as a chained label's, with only one class
+    where both are required."""
 
 
 class ZeroMinorityCount(DataError):

@@ -20,12 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import MultiLabelDataset, load_mulan_files, reduce_features_by_frequency
-from .ensemble import (
-    EnsembleSpec,
-    instance_budget,
-    predict_relevance_batch,
-    train_ensemble,
-)
+from .ensemble import EnsembleSpec, predict_relevance_batch, train_ensemble
 from .errors import ConfigError, DataError
 from .learner import TreeSpec
 from .metrics import METRIC_KEYS, build_report, mean_defined
@@ -149,7 +144,7 @@ def run_cell(ds: MultiLabelDataset, fold_of: np.ndarray, config: ExperimentConfi
         "fold": fold,
         "train_rows": int(train_ds.n),
         "test_rows": len(test_rows),
-        "instance_budget": instance_budget(train_ds, model),
+        "instance_budget": model.instance_budget,
         "classifier_counts": model.vote_counts.tolist(),
         "report": report,
     }, elapsed

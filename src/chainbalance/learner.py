@@ -116,7 +116,7 @@ class BinaryModel:
         child[:, 0] = self.right
         child[:, 1] = self.left
         leaf = (self.feature < 0)[:, None]
-        np.copyto(child, _steps(self.node_count)[:, None], where=leaf)
+        np.copyto(child, np.arange(self.node_count)[:, None], where=leaf)
         child *= 2
         return (
             self.feature.repeat(2),
@@ -149,23 +149,6 @@ EXTREMES_CELLS = 6144
 # (GINI_TABLE_ROWS + 1)**2 doubles, 0.53 MB at 256.
 GINI_TABLE_ROWS = 256
 
-# 0, 1, 2, ...: one read-only array for the process, whose prefixes serve
-# every fit and walk as row ids and list offsets. It grows by doubling; two
-# threads that grow it at once build equal arrays.
-_STEPS = np.arange(0)
-
-
-def _steps(n: int) -> np.ndarray:
-    """0..n-1, a view of _STEPS."""
-    global _STEPS
-    steps = _STEPS
-    if steps.size < n:
-        steps = np.arange(max(n, 2 * steps.size))
-        steps.flags.writeable = False
-        _STEPS = steps
-    return steps[:n]
-
-
 @cache
 def _gini_terms(rows: int) -> tuple[np.ndarray, np.ndarray]:
     """The flat table T with T[s * (rows + 1) + c] = ((c/s)*2s)*(1-c/s), a
@@ -186,7 +169,7 @@ def _sorted_lists(ranks: np.ndarray, y: np.ndarray) -> tuple:
     columns = np.ascontiguousarray(ranks.T)
     n = columns.shape[1]
     ids = columns.argsort(axis=1, kind="stable")
-    codes = columns.take(ids + _steps(columns.size)[::n, None])
+    codes = columns.take(ids + np.arange(0, columns.size, n)[:, None])
     return ids, codes, y.take(ids)
 
 
@@ -497,7 +480,7 @@ def predict_batch(model: BinaryModel, X: np.ndarray) -> np.ndarray:
             f"expected {model.n_features} features, got shape {X.shape}"
         )
     feature, threshold, child, value = model._route
-    rows = _steps(X.shape[0])
+    rows = np.arange(X.shape[0])
     # Every row walks model.depth steps; one that reaches a leaf early stays.
     at = np.zeros(X.shape[0], dtype=np.intp)
     for _ in range(model.depth):

@@ -51,7 +51,7 @@ def derive_seed(master_seed: int, *path: int) -> int:
 
 @dataclass(frozen=True)
 class BinaryDataset:
-    """Feature matrix plus a single binary target column."""
+    """Feature matrix without NaN plus a single binary target column."""
 
     features: np.ndarray
     targets: np.ndarray
@@ -61,8 +61,9 @@ class BinaryDataset:
 
     @classmethod
     def _of_checked(cls, features: np.ndarray, targets: np.ndarray) -> "BinaryDataset":
-        """A dataset whose targets come from an already validated label
-        matrix, built without checking again that they are 0/1."""
+        """A dataset whose features and targets come from an already
+        validated dataset, such as a chain's buffers, built without checking
+        again for NaN features or targets other than 0/1."""
         bd = object.__new__(cls)
         bd._settle(features, targets, checked=True)
         return bd
@@ -76,6 +77,8 @@ class BinaryDataset:
             raise ValueError("features and targets disagree on row count")
         if not checked and not ((targs == 0) | (targs == 1)).all():
             raise ValueError("targets must be 0/1")
+        if not checked and np.isnan(feats).any():
+            raise ValueError("features must not be NaN")
         targs = targs.astype(np.int8, copy=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "targets", targs)

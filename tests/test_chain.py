@@ -13,7 +13,7 @@ from chainbalance.chain import (
 )
 from chainbalance.dataset import Attribute, MultiLabelDataset
 from chainbalance.ensemble import EnsembleSpec, train_ensemble
-from chainbalance.errors import ArityMismatch, SingleClassLabel
+from chainbalance.errors import ArityMismatch, SingleClassInput
 from chainbalance.learner import TreeSpec, fit_tree, predict_batch
 from chainbalance.sampling import BinaryDataset, RngStream
 from conftest import dataset_with_label_counts, make_dataset, model_payload
@@ -92,7 +92,7 @@ def test_train_ccru_single_class_label_rejected():
     labels = np.zeros((20, 2), dtype=np.int8)
     labels[:5, 0] = 1
     ds = _dataset(np.random.default_rng(0).normal(size=(20, 2)), labels)
-    with pytest.raises(SingleClassLabel):
+    with pytest.raises(SingleClassInput):
         train_ccru(ds, ChainSpec((0, 1)), UNLIMITED, _link_streams(RngStream(0), 2))
 
 

@@ -255,6 +255,8 @@ def test_cv_out_of_range_values_exit_2(runner, dataset_files, tmp_path, flags):
         ({"seed": 3.7}, "seed"),
         ({"theta_max": True}, "theta_max"),
         ({"tree": {"min_samples_leaf": 1.5}}, "tree.min_samples_leaf"),
+        ({"methods": {"BR": 1}}, "methods"),
+        ({"methods": ["BR", 5]}, "methods"),
     ],
 )
 def test_cv_config_wrong_type_exits_2(runner, dataset_files, tmp_path, override, key):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chainbalance.dataset import Attribute, MultiLabelDataset
+from chainbalance.dataset import Attribute, MultiLabelDataset, all_label_stats
 from chainbalance.chain import ChainModel
 from chainbalance.ensemble import (
     METHODS,
@@ -19,7 +19,6 @@ from chainbalance.ensemble import (
     EnsembleSpec,
     chain_label_sets,
     compute_classifier_budget,
-    instance_budget,
     predict_relevance_batch,
     train_ensemble,
 )
@@ -253,6 +252,7 @@ def test_relevance_normalizes_by_label_counter():
         q=2,
         base_arity=1,
         skipped_labels={},
+        instance_budget=0,
     )
     scores = predict_relevance_batch(model, np.array([[0.0]]))[0]
     assert scores.tolist() == [2 / 3, 0.5]
@@ -295,7 +295,7 @@ def test_no_trainable_labels():
 
 
 def _budget(ds: MultiLabelDataset, **spec) -> int:
-    return instance_budget(ds, train_ensemble(ds, EnsembleSpec(**spec)))
+    return train_ensemble(ds, EnsembleSpec(**spec)).instance_budget
 
 
 def test_instance_budget_formulas():
@@ -313,6 +313,35 @@ def test_instance_budget_single_label_reports_uniform_value():
     eccru = _budget(ds, method="ECCRU", c=10)
     eccru2 = _budget(ds, method="ECCRU2", c=10)
     assert eccru == eccru2 == 10 * 2 * 10
+
+
+def _reference_budget(ds: MultiLabelDataset, model: EnsembleModel) -> int:
+    """The nominal budget counted again from the training set: n rows per
+    plain fit and 2*m_k per balanced fit of label k, for each classifier
+    the model holds."""
+    undersampled = model.method not in ("BR", "ECC")
+    stats = all_label_stats(ds)
+    return sum(
+        int(count) * (2 * stats[k].minority_count if undersampled else ds.n)
+        for k, count in enumerate(model.vote_counts)
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(4, 40),
+    st.lists(st.integers(0, 40), min_size=1, max_size=4),
+    st.integers(1, 4),
+    st.integers(0, 2**16),
+)
+@example(n=12, ones=[0, 1, 11, 12, 4], c=3, seed=0)
+def test_model_records_the_nominal_budget(n, ones, c, seed):
+    # Counts past n make all-positive labels; 0, 1 and n - 1 make
+    # single-class and one-minority-row labels.
+    ds = dataset_with_label_counts(n, [min(k, n) for k in ones], seed=seed)
+    for method in METHODS:
+        model = train_ensemble(ds, EnsembleSpec(method=method, c=c, seed=seed))
+        assert model.instance_budget == _reference_budget(ds, model), method
 
 
 def test_eccru2_single_label_degrades_to_uniform_build():
@@ -433,22 +462,22 @@ def test_relevance_arity_checks():
 # the uniform build.
 PINNED_MODELS = {
     "three_labels": {
-        "BR": ("1d92599b79d3debea8302a745a8a4b48793dd39681e72e28e23845be4e967e94", 180),
-        "BRUS": ("62f0ebd191a47521e4a4d641ce749452b816ec3100188bdcd5d354558487caf2", 96),
-        "EBRUS": ("69e639a2d5b4ec5741fd3bcc2601f3f1abf2bed8a9d9fbf8af237f801a98a4c2", 384),
-        "ECC": ("10247d58983c5439f0bf56ff577c9cf5776bb76f18d9ab109d589d0bccbe69b5", 720),
-        "ECCRU": ("e9acc3fd3a8829657367ab3f36b0b48fe0d757c789c9b6d08560f82333546d09", 384),
-        "ECCRU2": ("9e78b22d23e63d56cc2609b66c0da15a66599c8a0265f6791d20110358119bdc", 284),
-        "ECCRU3": ("fecb55aad19659f837711650b644c9d11f18907b23d6c32bbc312212fb57a587", 284),
+        "BR": ("6d48257f535f13f26e36424971235e6342f31e691dba6f876fec78b1668732b9", 180),
+        "BRUS": ("86df914dd212b609b5fdfb29d088a53392a93f5fceaa1babca1675f831659f39", 96),
+        "EBRUS": ("efca34ab6423d831ef62e743bcdf017ff1dac92d5ee1247ba8afa632c806184a", 384),
+        "ECC": ("7008a13541e1449244f3f8ef72b620549e354c07ecfba01aca66619799fb26d5", 720),
+        "ECCRU": ("621244af919a6be8fcfc74eea1c0b811d97f00cea72792f8bf86a12425edd3a5", 384),
+        "ECCRU2": ("a7557037c51f3d083dd47a056792e7d21683eaae1a88a894bb34d1a3a0861782", 284),
+        "ECCRU3": ("29b3df94d8e42db60a96e61b4c30e47cec62371f8e737629e3271045efe9a603", 284),
     },
     "one_eligible": {
-        "BR": ("5713d3b2f9e9143c49dfc974472fd9a7536afcb6eebfab6abc6a125622a6b3d2", 40),
-        "BRUS": ("45a697cea6e1b1afecea138d14877689c82e849b22941b9ff2c160d580d9076c", 18),
-        "EBRUS": ("9cfa2ccb15f3629b1940f92be73a5ddd916421fb128d277f2d91478a32af9250", 72),
-        "ECC": ("baaae97b0e3e33e584d010dd885d0b909dcf7dc48ad542805a81f372cc873039", 160),
-        "ECCRU": ("a3c9b88233ad02f9338c83367b7dbd779c7e7811ce7bdc5b2d34a0635343c86b", 72),
-        "ECCRU2": ("d933bc08694c9aee75ea3c26a1a5b5f27f36f551b0dfc45490d7d71f48205d23", 72),
-        "ECCRU3": ("b4e1e042d73885a50e53ce622448141d3a9afc8e17fb89463357c0fe0cb75aa7", 72),
+        "BR": ("2f139f4a6e457258ef2b5f617982fc3583698b828410f14d1971bd850adbaede", 40),
+        "BRUS": ("8698bf6ce69f514ee0743e45545daeedb94cda088c192cce5b17762a59b599c9", 18),
+        "EBRUS": ("1e0320586447b2669cc8d82be8d44693effb4a57b09f2ad3480f5f5431560877", 72),
+        "ECC": ("45a9b2cd47071c2af4e2b0a8f9a9ffb66eb13213fc1a9aa00032af6a4dfc7a93", 160),
+        "ECCRU": ("238cd60930212ef791ef5aafaf84fad056703f820f37e005da015e81fd320c0a", 72),
+        "ECCRU2": ("742d4c18cefb06284f45e7f1a71e21073f9224e8c81bab4a495988d3a303eaa3", 72),
+        "ECCRU3": ("f3a74b70bfc165f1d61a1abe71de719c217a559d4ad0d00c6dbad31052303d31", 72),
     },
 }
 
@@ -464,7 +493,7 @@ def test_models_and_budgets_pinned():
             model = train_ensemble(ds, spec)
             payload = json.dumps(model_payload(model), sort_keys=True)
             assert hashlib.sha256(payload.encode()).hexdigest() == digest, (name, method)
-            assert instance_budget(ds, model) == budget, (name, method)
+            assert model.instance_budget == budget, (name, method)
 
 
 def _replaced(obj, name: str):

@@ -149,6 +149,33 @@ def test_huge_values_split_cleanly():
         assert predict_batch(model, np.array([[a], [b]])).tolist() == [0, 1]
 
 
+def test_nan_features_refused():
+    # Rank codes give every NaN a code of its own, so a search would split
+    # between NaNs at threshold nan, which no row can follow. Both dataset
+    # constructors refuse NaN features.
+    X = np.array([[0.0], [1.0], [np.nan], [np.nan], [np.nan], [np.nan]])
+    y = np.array([0, 0, 1, 0, 1, 0], dtype=np.int8)
+    with pytest.raises(ValueError, match="NaN"):
+        BinaryDataset(X, y)
+    with pytest.raises(ValueError, match="NaN"):
+        MultiLabelDataset(
+            features=X, labels=y[:, None], label_names=("A",), feature_kinds=(Attribute("x"),)
+        )
+
+
+def test_infinite_features_predict_as_partitioned():
+    # +-inf order like any other value: a grown tree sends each of its rows
+    # to the leaf its partition put it in, so it predicts every target.
+    x = [0.0, 1.0, np.inf, 2.0, -np.inf, np.inf]
+    y = [0, 1, 1, 0, 1, 1]
+    model = fit_tree(_bd(x, y), UNLIMITED)
+    # In value order the targets form five runs: one leaf each, the first cut
+    # at the midpoint -inf.
+    assert (model.feature < 0).sum() == 5
+    assert -np.inf in model.threshold.tolist()
+    assert predict_batch(model, np.array(x)[:, None]).tolist() == y
+
+
 def test_leaf_class_proportions_recorded():
     model = fit_tree(_bd([0, 1, 2, 3], [0, 0, 1, 1]), TreeSpec())
     root_children = [int(model.left[0]), int(model.right[0])]
