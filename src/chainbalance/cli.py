@@ -290,7 +290,15 @@ def rank(input_dir: Path | None, result_files: tuple[Path, ...],
             paths.extend(sorted(input_dir.rglob("cv_results.json")))
         if not paths:
             raise ConfigError("no result files found")
+        # A file read twice would be a second dataset column, counted twice.
+        resolved = [path.resolve() for path in paths]
+        for i, path in enumerate(paths):
+            if resolved[i] in resolved[:i]:
+                raise ConfigError(f"results file {path} is given more than once")
         chosen = metrics or METRIC_KEYS
+        for i, metric in enumerate(chosen):
+            if metric in chosen[:i]:
+                raise ConfigError(f"metric {metric!r} is given more than once")
         table: dict[str, dict[str, float]] = {}
         methods: list[str] = []
         for metric in chosen:

@@ -16,16 +16,18 @@ The search works on presorted feature-major lists, as in SLIQ and SPRINT
 equal exactly where the values are, so sorting codes gives the same lists,
 ties included. A dataset ranks its features once and its subsets gather
 those codes, so a fit sorts 16-bit codes, which numpy radix-sorts, instead
-of doubles. Every node carries its rows' ids, codes and targets in that
-layout, and a split partitions them stably, so no node sorts again. Values
-are read only at the chosen split, for its threshold.
+of doubles. Every list entry of a node is one record of the row's id,
+code and target, so a split partitions the records stably with one gather
+per side, and no node sorts again. Values are read only at the chosen
+split, for its threshold.
 
 Memory is bounded as in those designs. A node is searched, and split, in
 blocks of consecutive features that hold at most SEARCH_CELLS list entries,
 so the search's float temporaries and the partition's index arrays are
-sized by the block, not by d x n. At its peak a fit holds about 14 bytes
-per (feature, row), the root's lists and those of its children, plus about
-2 MB of block buffers; searching every feature at once held about 60 bytes.
+sized by the block, not by d x n. At its peak a fit holds about 16 bytes
+per (feature, row), the root's 8-byte records and those of its children,
+plus about 2 MB of block buffers; searching every feature at once held
+about 60 bytes.
 
 A wide block (more than two features, at least EXTREMES_CELLS entries, at
 most 65,536 rows) evaluates two candidates per position instead of one per
@@ -163,77 +165,55 @@ def _gini_terms(rows: int) -> tuple[np.ndarray, np.ndarray]:
     return terms.ravel(), np.arange(0, (rows + 1) ** 2, rows + 1)
 
 
-def _sorted_lists(ranks: np.ndarray, y: np.ndarray) -> tuple:
-    """(ids, codes, targets) of ranks' columns, row f sorted by column f;
-    the ids are argsort's own intp."""
-    columns = np.ascontiguousarray(ranks.T)
-    n = columns.shape[1]
-    ids = columns.argsort(axis=1, kind="stable")
-    codes = columns.take(ids + np.arange(0, columns.size, n)[:, None])
-    return ids, codes, y.take(ids)
-
-
-def _presort(ranks: np.ndarray, y: np.ndarray) -> tuple:
-    """The root's (ids, codes, targets) lists, row f sorted by feature f.
-
-    One block of features keeps intp ids, which index without a cast.
-    Several are sorted one block at a time, with int32 ids to bound memory;
-    joining the blocks' lists at the end holds two copies of them, as a
-    split of the root does.
-    """
+def _presort(ranks: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The root's (d, n) lists of (id, code, tgt) records, row f sorted by
+    feature f. Features are sorted a block at a time, straight into the
+    records, so the temporaries stay within a block."""
     n, d = ranks.shape
+    record = np.dtype([("id", np.int32), ("code", ranks.dtype), ("tgt", np.int8)], align=True)
+    lists = np.empty((d, n), dtype=record)
     step = max(1, SEARCH_CELLS // n)
-    if step >= d:
-        return _sorted_lists(ranks, y)
-    blocks = []
     for f0 in range(0, d, step):
-        ids, codes, tgt = _sorted_lists(ranks[:, f0 : f0 + step], y)
-        blocks.append((ids.astype(np.int32), codes, tgt))
-    return tuple(map(np.concatenate, zip(*blocks)))
+        block = lists[f0 : f0 + step]
+        columns = np.ascontiguousarray(ranks[:, f0 : f0 + step].T)
+        ids = columns.argsort(axis=1, kind="stable")
+        block["id"] = ids
+        block["tgt"] = y.take(ids)
+        ids += np.arange(0, columns.size, n)[:, None]
+        block["code"] = columns.take(ids)
+    return lists
 
 
-def _split_lists(lists: tuple, goes_left: np.ndarray, left_n: int, sides: tuple) -> tuple:
-    """The left and right children's (ids, codes, targets) lists, None for a
-    side that sides[0] or sides[1] does not ask for. A child keeps the
-    entries of its rows in list order, so its lists stay sorted."""
-    ids, codes, tgt = lists
-    nf, m = ids.shape
-    mask = goes_left.take(ids).ravel()
-
-    def child(keep: np.ndarray, size: int) -> tuple:
-        keep = keep.nonzero()[0]
-        shape = (nf, size)
-        return (
-            ids.take(keep).reshape(shape),
-            codes.take(keep).reshape(shape),
-            tgt.take(keep).reshape(shape),
-        )
-
-    left = child(mask, left_n) if sides[0] else None
-    right = child(~mask, m - left_n) if sides[1] else None
+def _split_lists(lists: np.ndarray, goes_left: np.ndarray, left_n: int, sides: tuple) -> tuple:
+    """The left and right children's lists, None for a side that sides[0]
+    or sides[1] does not ask for. A child keeps the records of its rows in
+    list order, so its lists stay sorted."""
+    nf, m = lists.shape
+    mask = goes_left.take(lists["id"]).ravel()
+    left = lists.take(mask.nonzero()[0]).reshape(nf, left_n) if sides[0] else None
+    right = lists.take((~mask).nonzero()[0]).reshape(nf, m - left_n) if sides[1] else None
     return left, right
 
 
 def _partition(
-    lists: tuple, goes_left: np.ndarray, left_n: int, sides: tuple, step: int
+    lists: np.ndarray, goes_left: np.ndarray, left_n: int, sides: tuple, step: int
 ) -> tuple:
     """_split_lists of a node of several blocks of step features: it fills
     its children's lists in place block by block, so the temporaries stay
     within a block."""
-    d, m = lists[0].shape
+    d, m = lists.shape
     children = tuple(
-        tuple(np.empty((d, size), dtype=a.dtype) for a in lists) if wanted else None
+        np.empty((d, size), dtype=lists.dtype) if wanted else None
         for wanted, size in zip(sides, (left_n, m - left_n))
     )
     for f0 in range(0, d, step):
-        block = slice(f0, f0 + step)
-        mask = goes_left.take(lists[0][block]).ravel()
+        block = lists[f0 : f0 + step]
+        mask = goes_left.take(block["id"]).ravel()
         for child, keep in zip(children, (mask, ~mask)):
             if child is not None:
-                keep = keep.nonzero()[0]
                 # keep is in range; "clip" writes into out, where "raise" buffers.
-                for a, out in zip(lists, child):
-                    a[block].take(keep, out=out[block].reshape(-1), mode="clip")
+                out = child[f0 : f0 + step].reshape(-1)
+                block.take(keep.nonzero()[0], out=out, mode="clip")
     return children
 
 
@@ -245,19 +225,20 @@ def fit_tree(
     ranks is an (n, d) integer matrix whose columns order like those of
     bd.features and are equal where they are, such as rank_codes of these
     rows or of any superset; it is computed here when not given. Each node
-    carries (d, m) arrays of its row ids, codes and targets, row f sorted by
-    feature f. The search scans the prefix sums of positives along the rows
-    of one feature block at a time (see SEARCH_CELLS). A block of more than
-    two features, at least EXTREMES_CELLS entries and at most 65,536 rows
-    evaluates the Gini only at each position's largest and smallest
-    admissible left-positive count, where alone the minimum can lie, since
-    the weighted Gini is strictly concave in that count; the bound on the
-    rows keeps the concavity margin above the formula's rounding (see the
-    module docstring). A split partitions the three arrays stably, so the
-    children need no sort and no gather from the full matrix. The lists of
-    a root of several blocks take 7 bytes per (feature, row); a split holds
-    its node's and its children's, so a fit peaks near 14 plus the
-    block-sized buffers. A root of one block keeps 8-byte intp ids instead.
+    carries a (d, m) array of (id, code, tgt) records of its rows, row f
+    sorted by feature f. The search scans the prefix sums of positives along
+    the rows of one feature block at a time (see SEARCH_CELLS). A block of
+    more than two features, at least EXTREMES_CELLS entries and at most
+    65,536 rows evaluates the Gini only at each position's largest and
+    smallest admissible left-positive count, where alone the minimum can
+    lie, since the weighted Gini is strictly concave in that count; the
+    bound on the rows keeps the concavity margin above the formula's
+    rounding (see the module docstring). A split partitions the records
+    stably, so the children need no sort and no gather from the full matrix.
+    A record takes 8 bytes (an int32 id, a 16-bit code and an int8 target,
+    aligned), 12 with 32-bit codes; a split holds its node's and its
+    children's, so a fit peaks near 16 bytes per (feature, row) plus the
+    block-sized buffers.
     """
     if bd.n == 0:
         raise ValueError("cannot fit a tree on an empty dataset")
@@ -350,8 +331,8 @@ def fit_tree(
         max_depth_seen = max(max_depth_seen, depth)
         if lists is None:
             continue
-        ids, codes, tgt = lists
-        m = ids.shape[1]
+        ids, codes, tgt = lists["id"], lists["code"], lists["tgt"]
+        m = lists.shape[1]
         lo, hi = min_leaf - 1, m - min_leaf
         k = hi - lo
         # The running best starts at 1.0, which no candidate reaches. A later
@@ -368,10 +349,11 @@ def fit_tree(
                 tgt[f0 : f0 + nf], axis=1, dtype=count_type, out=cum_buf[: nf * m].reshape(nf, m)
             )
             left_pos = cum[:, lo:hi]
-            # A split between equal codes is not a candidate. Comparing the
-            # flattened lists is one contiguous pass; the pairs that straddle
+            # A split between equal codes is not a candidate. The block's
+            # records are C-contiguous, so its codes flatten to one strided
+            # view and the comparison is one pass; the pairs that straddle
             # two features' lists fall outside the candidate columns.
-            flat = codes[f0 : f0 + nf].ravel()
+            flat = codes[f0 : f0 + nf].reshape(-1)
             np.equal(flat[:-1], flat[1:], out=tie_buf[: nf * m - 1])
             tie = tie_buf[: nf * m].reshape(nf, m)[:, lo:hi]
             wide = nf > 2 and nf * m >= EXTREMES_CELLS and m <= 1 << 16
@@ -450,10 +432,10 @@ def fit_tree(
             goes_left.put(ids[feat, :left_n], True)
             goes_left.put(ids[feat, left_n:], False)
             # One block splits faster with _split_lists than with _partition's
-            # preallocated fill. Routing every node through _partition took a
-            # flags-protocol seed-3 run_cv (18,533 one-block splits) from 0.34
-            # to 0.50 s in the split and from 2.28 to 2.49 s in fit_tree
-            # (medians of 10 runs each on a 2-core VM; slower split in 10/10).
+            # preallocated fill. Routing every node through _partition took
+            # the 3,736 fits of a flags-protocol seed-3 run_cv, refitted
+            # alone, from 1.88 to 2.02 s (medians of 10 alternating pairs on
+            # a 2-core VM; slower in 9/10).
             if step >= d:
                 left_lists, right_lists = _split_lists(lists, goes_left, left_n, sides)
             else:

@@ -614,6 +614,43 @@ def test_rank_over_two_datasets(runner, tmp_path):
     assert sum(ranks) == pytest.approx(3.0)  # 1.5+1.5 or 1+2
 
 
+def _results_file(runner, tmp_path) -> Path:
+    ds = make_dataset(50, [0.25, 0.5], seed=1, relation="alpha")
+    arff, xml = write_dataset_files(ds, tmp_path)
+    result = _run_cv(runner, arff, xml, tmp_path / "alpha")
+    assert result.exit_code == 0, result.output
+    return tmp_path / "alpha" / "cv_results.json"
+
+
+@pytest.mark.parametrize("spelling", ["same", "relative", "input-dir"])
+def test_rank_refuses_a_results_file_given_twice(runner, tmp_path, monkeypatch, spelling):
+    path = _results_file(runner, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    args = ["rank", "--results", str(path), "--metric", "f_measure"]
+    if spelling == "same":
+        args += ["--results", str(path)]
+    elif spelling == "relative":
+        args += ["--results", "alpha/../alpha/cv_results.json"]
+    else:
+        args += ["--input-dir", str(tmp_path)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    record = json.loads(result.stderr.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError"
+    assert "cv_results.json is given more than once" in record["message"]
+
+
+def test_rank_refuses_a_repeated_metric(runner, tmp_path):
+    path = _results_file(runner, tmp_path)
+    result = runner.invoke(
+        main, ["rank", "--results", str(path), "--metric", "auc_roc", "--metric", "auc_roc"]
+    )
+    assert result.exit_code == 2, result.output
+    record = json.loads(result.stderr.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError"
+    assert "'auc_roc' is given more than once" in record["message"]
+
+
 def test_rank_no_inputs_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["rank", "--input-dir", str(tmp_path)])
     assert result.exit_code == 2

@@ -262,6 +262,34 @@ def test_blocked_search_matches_reference_kernel(kind, cells, n, d, min_leaf, ma
     assert model_payload(model) == model_payload(reference_fit_tree(bd, spec))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["continuous", "integer", "bootstrap", "adjacent"]),
+    st.sampled_from([1, 64, None]),
+    st.integers(1, 40),
+    st.integers(1, 12),
+    st.integers(1, 4),
+    st.sampled_from([None, 0, 1, 2, 4]),
+    st.integers(0, 2**32 - 1),
+)
+def test_fit_on_32_bit_codes_matches_16_bit(kind, cells, n, d, min_leaf, max_depth, seed):
+    # rank_codes widens to 32 bits past 65,536 rows. Blocks of one feature
+    # (1), of several (64) and the default send the 12-byte records through
+    # both _partition and _split_lists.
+    gen = np.random.default_rng(seed)
+    X = _features(kind, n, d, gen)
+    y = (gen.random(n) < gen.random()).astype(np.int8)
+    bd = BinaryDataset(X, y)
+    spec = TreeSpec(max_depth=max_depth, min_samples_leaf=min_leaf)
+    codes = rank_codes(X)
+    wide = codes.astype(np.uint32)
+    assert learner_module._presort(wide, y).dtype.itemsize == 12
+    cells = learner_module.SEARCH_CELLS if cells is None else cells
+    with mock.patch.object(learner_module, "SEARCH_CELLS", cells):
+        model = fit_tree(bd, spec, wide)
+        assert model_payload(model) == model_payload(fit_tree(bd, spec, codes))
+
+
 def test_root_spanning_several_blocks_matches_reference():
     # 600 rows x 250 features is about 2.3 blocks of SEARCH_CELLS entries at
     # the root. The signal column is copied into the second and third
@@ -435,7 +463,7 @@ def test_predict_batch_matches_row_walk(n, d, rows, max_depth, view, seed):
 
 
 def test_fit_memory_is_bounded_per_feature_row():
-    # The root's lists (7 bytes per feature and row), its children's (7
+    # The root's lists (8 bytes per feature and row), its children's (8
     # more) and block-sized buffers; a search over all features at once
     # would hold about 60 bytes.
     n, d = 1200, 300
@@ -451,6 +479,26 @@ def test_fit_memory_is_bounded_per_feature_row():
         tracemalloc.stop()
     assert model.node_count > 100
     assert peak < 30 * n * d
+
+
+def test_presort_memory_is_bounded_per_feature_row():
+    # A root of 1,200 x 300 spans six blocks. Its records take 8 bytes per
+    # (feature, row), and a block's sort temporaries about 3 more; joining
+    # the blocks' own lists at the end peaked at 14.8.
+    n, d = 1200, 300
+    gen = np.random.default_rng(0)
+    ranks = rank_codes(gen.normal(size=(n, d)).round(6))
+    y = (gen.random(n) < 0.4).astype(np.int8)
+    assert d > learner_module.SEARCH_CELLS // n
+    tracemalloc.start()
+    try:
+        lists = learner_module._presort(ranks, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lists.shape == (d, n) and lists.dtype.itemsize == 8
+    assert lists["id"].dtype == np.int32
+    assert peak < 13 * n * d
 
 
 def _stable_order(X: np.ndarray) -> np.ndarray:
