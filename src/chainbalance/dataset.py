@@ -27,9 +27,6 @@ from .errors import (
 )
 
 NUMERIC_TYPES = {"numeric", "real", "integer"}
-# Most (feature, row) entries that rank_codes ranks at once. Ranking takes
-# about 30 bytes per entry, so a block's temporaries stay near 2 MB.
-RANK_CELLS = 1 << 16
 # Most values in one block of ARFF data rows. numpy parses a block of dense
 # numeric rows at once; its text and temporaries stay near a megabyte.
 PARSE_CELLS = 1 << 16
@@ -137,25 +134,13 @@ def rank_codes(X: np.ndarray) -> np.ndarray:
     Equal codes mean equal values, and codes order like the values, so a
     stable argsort of a column's codes equals one of its values. The dtype is
     uint16 up to 65,536 rows, whose stable sort numpy runs as a radix sort,
-    and uint32 above. Columns are ranked in blocks of at most RANK_CELLS
-    entries, so beyond the codes the temporaries stay within a block.
+    and uint32 above. Columns are ranked one at a time, so beyond the codes
+    the temporaries stay within a column.
     """
     n, d = X.shape
-    dtype = np.uint16 if n <= 1 << 16 else np.uint32
-    codes = np.empty((n, d), dtype=dtype)
-    step = max(1, RANK_CELLS // max(n, 1))
-    for f0 in range(0, d, step):
-        columns = np.ascontiguousarray(X[:, f0 : f0 + step].T)
-        nf = columns.shape[0]
-        # Where each column's sorted list sits in the flattened (nf, n) block.
-        flat = columns.argsort(axis=1)
-        flat += np.arange(nf)[:, None] * n
-        ordered = columns.take(flat)
-        dense = np.zeros((nf, n), dtype=dtype)
-        np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, dtype=dtype, out=dense[:, 1:])
-        block = np.empty((nf, n), dtype=dtype)
-        block.ravel()[flat.ravel()] = dense.ravel()
-        codes[:, f0 : f0 + nf] = block.T
+    codes = np.empty((n, d), dtype=np.uint16 if n <= 1 << 16 else np.uint32)
+    for f in range(d):
+        codes[:, f] = np.unique(X[:, f], return_inverse=True)[1]
     return codes
 
 

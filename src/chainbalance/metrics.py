@@ -3,8 +3,8 @@
 All metric functions return None where a required denominator is zero, and
 aggregation skips undefined values while reporting how many were skipped.
 Binary predictions use the rule score >= threshold, with the threshold picked
-per label from a fixed 21-point grid to maximize the chosen point metric on
-training scores.
+per label and point metric from a fixed 21-point grid to maximize that metric
+on training scores.
 """
 
 from __future__ import annotations
@@ -39,11 +39,6 @@ IMR_BUCKETS: tuple[tuple[float, float], ...] = (
 )
 
 
-def _check_objective(kind: str) -> None:
-    if kind not in POINT_METRICS:
-        raise ValueError(f"unknown point metric {kind!r}; valid: {POINT_METRICS}")
-
-
 @dataclass(frozen=True)
 class BinaryConfusion:
     tp: int
@@ -72,7 +67,8 @@ def point_metric(conf: BinaryConfusion, kind: str) -> float | None:
     tp/fp/fn, G and B need both a positive and a negative example. An F of
     zero (tp=0 with errors present) is a defined value, not None.
     """
-    _check_objective(kind)
+    if kind not in POINT_METRICS:
+        raise ValueError(f"unknown point metric {kind!r}; valid: {POINT_METRICS}")
     if kind == F_MEASURE:
         denom = 2 * conf.tp + conf.fp + conf.fn
         return None if denom == 0 else 2 * conf.tp / denom
@@ -155,34 +151,42 @@ class ThresholdChoice:
 
 
 def select_threshold(
-    train_scores: np.ndarray, train_truth: np.ndarray, objective: str
-) -> ThresholdChoice:
-    """Scan THRESHOLD_GRID and return the smallest threshold maximizing the
-    objective, one of POINT_METRICS.
+    train_scores: np.ndarray, train_truth: np.ndarray
+) -> tuple[ThresholdChoice, ...]:
+    """Scan THRESHOLD_GRID once and return, for each of POINT_METRICS in
+    order, the smallest threshold maximizing that objective.
 
-    Prediction rule is score >= t. Falls back to 0.5 (flagged) when the
-    training column has no positives, or when the objective is undefined at
+    Prediction rule is score >= t. An objective falls back to 0.5 (flagged)
+    when the training column has no positives, or when it is undefined at
     every grid point. One comparison counts the predicted positives and true
-    positives at every grid point (the one-pass count of Fawcett 2006).
+    positives at every grid point (the one-pass count of Fawcett 2006), and
+    all three objectives are read off those counts.
     """
-    _check_objective(objective)
     scores, truth = _check_pair(train_scores, train_truth)
+    fallback = ThresholdChoice(threshold=0.5, value=None, fallback=True)
     pos = int(truth.sum())
     if pos == 0:
-        return ThresholdChoice(threshold=0.5, value=None, fallback=True)
+        return (fallback,) * len(POINT_METRICS)
     predicted = scores >= _GRID[:, None]
     tps = np.count_nonzero(predicted & (truth == 1), axis=1)
     fps = np.count_nonzero(predicted, axis=1) - tps
     neg = truth.shape[0] - pos
-    best_t: float | None = None
-    best_v = -1.0
-    for t, tp, fp in zip(THRESHOLD_GRID, tps.tolist(), fps.tolist()):
-        value = point_metric(BinaryConfusion(tp, fp, neg - fp, pos - tp), objective)
-        if value is not None and value > best_v:
-            best_t, best_v = t, value
-    if best_t is None:
-        return ThresholdChoice(threshold=0.5, value=None, fallback=True)
-    return ThresholdChoice(threshold=best_t, value=best_v, fallback=False)
+    confusions = [
+        BinaryConfusion(tp, fp, neg - fp, pos - tp)
+        for tp, fp in zip(tps.tolist(), fps.tolist())
+    ]
+    choices = []
+    for kind in POINT_METRICS:
+        best_t: float | None = None
+        best_v = -1.0
+        for t, conf in zip(THRESHOLD_GRID, confusions):
+            value = point_metric(conf, kind)
+            if value is not None and value > best_v:
+                best_t, best_v = t, value
+        choices.append(
+            fallback if best_t is None else ThresholdChoice(best_t, best_v, fallback=False)
+        )
+    return tuple(choices)
 
 
 def mean_defined(values: list[float | None]) -> float | None:
@@ -254,12 +258,13 @@ def build_report(
 ) -> dict:
     """Select per-label thresholds on training scores and evaluate on test.
 
-    Each point metric gets its own threshold. The ranking metrics use the raw
-    test scores. Matrices are instances x labels. Returns the record that
-    cv_results.json stores per fold: "per_label" rows holding the METRIC_KEYS
-    values, the three thresholds and a fallback flag, "macro" means over the
-    labels where each metric is defined, "excluded" counts of the labels
-    where it is not, and "skipped_label_count".
+    Each point metric gets its own threshold, all three read off one grid
+    count per label. The ranking metrics use the raw test scores. Matrices
+    are instances x labels. Returns the record that cv_results.json stores
+    per fold: "per_label" rows holding the METRIC_KEYS values, the three
+    thresholds and a fallback flag, "macro" means over the labels where each
+    metric is defined, "excluded" counts of the labels where it is not, and
+    "skipped_label_count".
     """
     train_scores = np.asarray(train_scores, dtype=np.float64)
     test_scores = np.asarray(test_scores, dtype=np.float64)
@@ -275,8 +280,8 @@ def build_report(
         tr_s, tr_t = train_scores[:, j], train_truth[:, j]
         te_s, te_t = test_scores[:, j], test_truth[:, j]
         row = {"label_index": j, "threshold_fallback": False}
-        for kind, key in zip(POINT_METRICS, METRIC_KEYS):
-            choice = select_threshold(tr_s, tr_t, kind)
+        choices = select_threshold(tr_s, tr_t)
+        for kind, key, choice in zip(POINT_METRICS, METRIC_KEYS, choices):
             conf = BinaryConfusion.from_predictions(te_t, te_s >= choice.threshold)
             row[key] = point_metric(conf, kind)
             row[f"threshold_{kind.lower()}"] = choice.threshold

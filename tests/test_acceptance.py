@@ -26,7 +26,7 @@ from chainbalance.ensemble import (
     train_ensemble,
 )
 from chainbalance.experiment import ExperimentConfig, run_cv
-from chainbalance.metrics import THRESHOLD_GRID, auc_roc, select_threshold
+from chainbalance.metrics import POINT_METRICS, THRESHOLD_GRID, auc_roc, select_threshold
 from chainbalance.sampling import RngStream
 from chainbalance.simulate import ExploitationQuery, exploitation_probability, sweep
 from conftest import dataset_with_label_counts, make_dataset, write_dataset_files
@@ -170,9 +170,9 @@ def test_criterion_5_metric_oracles():
             truth = gen.integers(0, 2, n)
             if truth.sum() == 0:
                 continue
-            kind = ("F", "G", "B")[int(gen.integers(0, 3))]
-            expected_t, expected_v = grid_scan_oracle(scores, truth, kind)
-            choice = select_threshold(scores, truth, kind)
+            k = int(gen.integers(0, 3))
+            expected_t, expected_v = grid_scan_oracle(scores, truth, POINT_METRICS[k])
+            choice = select_threshold(scores, truth)[k]
             if expected_v is None:
                 assert choice.fallback
             else:

@@ -5,10 +5,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import chainbalance.dataset as dataset_module
 import chainbalance.learner as learner_module
 from chainbalance.dataset import Attribute, MultiLabelDataset, rank_codes
 from chainbalance.errors import ArityMismatch
@@ -545,29 +544,41 @@ def test_rank_codes_widen_past_65536_rows():
     assert narrow[0, 0] == 65_535
 
 
-@settings(max_examples=100, deadline=None)
+def _brute_dense_ranks(X: np.ndarray) -> np.ndarray:
+    """codes[i, f] = number of distinct values of column f below X[i, f]; a
+    Python set holds -0.0 and 0.0 as one value."""
+    codes = np.zeros(X.shape, dtype=np.int64)
+    for f, column in enumerate(X.T):
+        for v in set(column.tolist()):
+            codes[:, f] += v < column
+    return codes
+
+
+_RANK_VALUES = st.sampled_from([-np.inf, -2.0, -1.0, -0.0, 0.0, 1.0, 3.0, np.inf])
+
+
+@settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from([1, 5, 24, 100]),
-    st.integers(1, 30),
-    st.integers(1, 9),
-    st.integers(0, 2**32 - 1),
+    st.integers(0, 4).flatmap(
+        lambda d: st.lists(st.lists(_RANK_VALUES, min_size=d, max_size=d), max_size=30).map(
+            lambda rows: np.array(rows, dtype=np.float64).reshape(len(rows), d)
+        )
+    )
 )
-def test_rank_codes_in_blocks_equal_whole_matrix(cells, n, d, seed):
-    # Few distinct values, so every column has ties; blocks of one or
-    # several columns, and of all of them, must give the same codes.
-    gen = np.random.default_rng(seed)
-    X = gen.choice([-1.0, -0.0, 0.0, 2.5, np.inf], size=(n, d))
-    with mock.patch.object(dataset_module, "RANK_CELLS", 1 << 30):
-        whole = rank_codes(X)
-    with mock.patch.object(dataset_module, "RANK_CELLS", cells):
-        blocked = rank_codes(X)
-    assert blocked.dtype == whole.dtype and blocked.flags.c_contiguous
-    assert np.array_equal(blocked, whole)
+# One column past 65,536 rows widens the codes to 32 bits.
+@example(np.tile([np.inf, -0.0, 2.0, 0.0, -np.inf, 2.0, 7.0], 9363)[:65_537, None])
+@example(np.tile([np.inf, -0.0, 2.0, 0.0, -np.inf, 2.0, 7.0], 9363)[:65_536, None])
+@example(np.empty((5, 0)))
+def test_rank_codes_are_dense_ranks(X):
+    codes = rank_codes(X)
+    assert codes.shape == X.shape and codes.flags.c_contiguous
+    assert codes.dtype == (np.uint16 if X.shape[0] <= 1 << 16 else np.uint32)
+    assert np.array_equal(codes, _brute_dense_ranks(X))
 
 
 def test_rank_codes_memory_is_bounded_per_feature_row():
-    # The codes take 2 bytes per (feature, row) and a block's temporaries
-    # about 2 MB; ranking every column at once took about 30 bytes.
+    # The codes take 2 bytes per (feature, row) and the temporaries a column's
+    # worth; ranking every column at once took about 30 bytes.
     n, d = 1200, 600
     X = np.random.default_rng(0).normal(size=(n, d)).round(3)
     tracemalloc.start()

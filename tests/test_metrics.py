@@ -5,15 +5,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainbalance.errors import LengthMismatch
 from chainbalance.experiment import ExperimentConfig, run_cv
 from chainbalance.metrics import (
     IMR_BUCKETS,
+    POINT_METRICS,
     THRESHOLD_GRID,
     BinaryConfusion,
+    ThresholdChoice,
     auc_pr,
     auc_roc,
     average_ranks,
@@ -167,26 +169,31 @@ def test_auc_pr_perfect_ranking_any_prevalence():
 
 
 def test_select_threshold_examples():
-    choice = select_threshold([0.0, 0.3, 0.7, 1.0], [0, 0, 1, 1], "F")
-    assert choice.threshold == pytest.approx(0.35)
-    assert choice.value == 1.0
-    assert not choice.fallback
+    f, _, _ = select_threshold([0.0, 0.3, 0.7, 1.0], [0, 0, 1, 1])
+    assert f.threshold == pytest.approx(0.35)
+    assert f.value == 1.0
+    assert not f.fallback
 
-    choice = select_threshold([0.5, 0.5, 0.5], [1, 1, 0], "F")
-    assert choice.threshold == 0.0
-    assert choice.value == pytest.approx(0.8)
+    f, _, _ = select_threshold([0.5, 0.5, 0.5], [1, 1, 0])
+    assert f.threshold == 0.0
+    assert f.value == pytest.approx(0.8)
 
     # Perfect separation: smallest maximizing grid point is returned.
-    choice = select_threshold([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1], "B")
-    assert choice.threshold == pytest.approx(0.25)
+    _, _, b = select_threshold([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1])
+    assert b.threshold == pytest.approx(0.25)
 
 
 def test_select_threshold_fallbacks():
-    choice = select_threshold([0.1, 0.9], [0, 0], "F")
-    assert choice.fallback and choice.threshold == 0.5 and choice.value is None
-    # All-positive truth leaves G undefined at every grid point.
-    choice = select_threshold([0.1, 0.9], [1, 1], "G")
-    assert choice.fallback and choice.threshold == 0.5
+    choices = select_threshold([0.1, 0.9], [0, 0])
+    assert len(choices) == len(POINT_METRICS)
+    for choice in choices:
+        assert choice.fallback and choice.threshold == 0.5 and choice.value is None
+    # All-positive truth leaves G and B undefined at every grid point; F is
+    # defined and perfect at the smallest threshold.
+    f, g, b = select_threshold([0.1, 0.9], [1, 1])
+    assert g.fallback and g.threshold == 0.5
+    assert b.fallback and b.threshold == 0.5
+    assert not f.fallback and f.threshold == 0.0 and f.value == 1.0
 
 
 def test_select_threshold_matches_grid_oracle():
@@ -197,9 +204,8 @@ def test_select_threshold_matches_grid_oracle():
         truth = gen.integers(0, 2, n)
         if truth.sum() == 0:
             continue
-        for kind in ("F", "G", "B"):
+        for kind, choice in zip(POINT_METRICS, select_threshold(scores, truth)):
             expected_t, expected_v = grid_scan_oracle(scores, truth, kind)
-            choice = select_threshold(scores, truth, kind)
             if expected_v is None:
                 assert choice.fallback
             else:
@@ -207,24 +213,68 @@ def test_select_threshold_matches_grid_oracle():
                 assert choice.threshold == expected_t
 
 
+def single_objective_scan(scores, truth, objective):
+    """Reference: the grid scan for one objective, as select_threshold ran it
+    once per objective before it read all three off one count."""
+    scores = np.asarray(scores, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.int8)
+    pos = int(truth.sum())
+    if pos == 0:
+        return ThresholdChoice(threshold=0.5, value=None, fallback=True)
+    predicted = scores >= np.array(THRESHOLD_GRID)[:, None]
+    tps = np.count_nonzero(predicted & (truth == 1), axis=1)
+    fps = np.count_nonzero(predicted, axis=1) - tps
+    neg = truth.shape[0] - pos
+    best_t, best_v = None, -1.0
+    for t, tp, fp in zip(THRESHOLD_GRID, tps.tolist(), fps.tolist()):
+        value = point_metric(BinaryConfusion(tp, fp, neg - fp, pos - tp), objective)
+        if value is not None and value > best_v:
+            best_t, best_v = t, value
+    if best_t is None:
+        return ThresholdChoice(threshold=0.5, value=None, fallback=True)
+    return ThresholdChoice(threshold=best_t, value=best_v, fallback=False)
+
+
+# Grid-exact scores, a few values that tie often, and scores off the grid.
+_SCORES = (
+    st.sampled_from(THRESHOLD_GRID)
+    | st.sampled_from([0.3, 0.7])
+    | st.floats(-0.5, 1.5, allow_nan=False)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 25).flatmap(
+        lambda n: st.tuples(
+            st.lists(_SCORES, min_size=n, max_size=n),
+            st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        )
+    )
+)
+@example(([0.35], [1]))
+@example(([0.35], [0]))
+@example(([0.1, 0.5, 0.5, 0.9], [0, 0, 0, 0]))
+@example(([0.1, 0.5, 0.5, 0.9], [1, 1, 1, 1]))
+def test_select_threshold_equals_one_scan_per_objective(pair):
+    scores, truth = pair
+    assert select_threshold(scores, truth) == tuple(
+        single_objective_scan(scores, truth, kind) for kind in POINT_METRICS
+    )
+
+
 def test_threshold_policy_validation():
     conf = BinaryConfusion(tp=1, fp=1, tn=1, fn=1)
     with pytest.raises(ValueError):
         point_metric(conf, "accuracy")
-    with pytest.raises(ValueError):
-        select_threshold([0.2, 0.8], [0, 1], "accuracy")
-    # Rejected before the no-positives early return, too.
-    with pytest.raises(ValueError):
-        select_threshold([0.2, 0.8], [0, 0], "accuracy")
     # Only the canonical names are accepted.
     with pytest.raises(ValueError):
         point_metric(conf, "f")
-    # Truth other than 0/1 is refused for every objective, before the
-    # no-positives early return too (0.5 and 256 would cast to 0).
+    # Truth other than 0/1 is refused, before the no-positives early return
+    # too (0.5 and 256 would cast to 0).
     for truth in ([0, 2], [0, 0.5], [0, 256]):
-        for kind in ("F", "G", "B"):
-            with pytest.raises(ValueError, match="0/1"):
-                select_threshold([0.2, 0.8], truth, kind)
+        with pytest.raises(ValueError, match="0/1"):
+            select_threshold([0.2, 0.8], truth)
 
 
 def test_macro_average():

@@ -108,11 +108,12 @@ def test_tracer_hooks_record_evaluation(tmp_path):
         "ensemble.predict",
         "metrics.report",
     } <= set(result["spans"])
-    # 2 folds x 2 methods: each cell is scored in one call, and each of its
-    # 2 labels x 3 objectives is one threshold scan and one test confusion.
+    # 2 folds x 2 methods: each cell is scored in one call, each of its 2
+    # labels is one threshold scan, and each label x 3 objectives one test
+    # confusion.
     assert result["spans"]["ensemble.predict"] == 4
     assert result["spans"]["metrics.report"] == 4
-    assert result["counts"]["metrics.threshold_scans"] == 24
+    assert result["counts"]["metrics.threshold_scans"] == 8
     assert result["counts"]["metrics.confusions"] == 24
     assert result["problems"] == []
 
