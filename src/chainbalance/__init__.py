@@ -5,7 +5,7 @@ from .dataset import (
     DatasetSummary,
     LabelImbalanceStats,
     MultiLabelDataset,
-    compute_label_stats,
+    all_label_stats,
     load_mulan,
     load_mulan_files,
     reduce_features_by_frequency,
@@ -64,13 +64,13 @@ __all__ = [
     "MultiLabelDataset",
     "RngStream",
     "TreeSpec",
+    "all_label_stats",
     "auc_pr",
     "auc_roc",
     "average_ranks",
     "bootstrap",
     "build_report",
     "compute_classifier_budget",
-    "compute_label_stats",
     "exploitation_probability",
     "exploitation_probability_mc",
     "fit_tree",

@@ -470,31 +470,20 @@ def load_mulan_files(arff_path: str | Path, xml_path: str | Path) -> MultiLabelD
 # ---------------------------------------------------------------------------
 
 
-def compute_label_stats(ds: MultiLabelDataset, j: int) -> LabelImbalanceStats:
-    """Minority/majority counts and imbalance ratio for label column j.
+def all_label_stats(ds: MultiLabelDataset) -> list[LabelImbalanceStats]:
+    """Minority/majority counts and imbalance ratio of every label column.
 
     The minority class is the less frequent value; on a tie the positive
     class counts as minority.
     """
-    if not 0 <= j < ds.q:
-        raise IndexError(f"label index {j} out of range [0, {ds.q})")
-    ones = int(ds.labels[:, j].sum())
-    zeros = ds.n - ones
-    minority_class = 1 if ones <= zeros else 0
-    m = min(ones, zeros)
-    big = max(ones, zeros)
-    imr = big / m if m > 0 else None
-    return LabelImbalanceStats(
-        label_index=j,
-        minority_count=m,
-        majority_count=big,
-        minority_class=minority_class,
-        imr=imr,
-    )
-
-
-def all_label_stats(ds: MultiLabelDataset) -> list[LabelImbalanceStats]:
-    return [compute_label_stats(ds, j) for j in range(ds.q)]
+    stats = []
+    for j, ones in enumerate(ds.labels.sum(axis=0).tolist()):
+        m, big = sorted((ones, ds.n - ones))
+        stats.append(LabelImbalanceStats(
+            label_index=j, minority_count=m, majority_count=big,
+            minority_class=int(ones == m), imr=big / m if m > 0 else None,
+        ))
+    return stats
 
 
 def summarize(ds: MultiLabelDataset) -> DatasetSummary:
@@ -535,9 +524,8 @@ def reduce_features_by_frequency(
     if keep_fraction == 1.0:
         return ds
     keep = math.ceil(keep_fraction * ds.d)
-    nonzero = (ds.features != 0).sum(axis=0)
-    ranked = sorted(range(ds.d), key=lambda j: (-int(nonzero[j]), j))
-    retained = sorted(ranked[:keep])
+    ranked = np.argsort(-np.count_nonzero(ds.features, axis=0), kind="stable")
+    retained = np.sort(ranked[:keep])
     return replace(
         ds,
         features=ds.features[:, retained],

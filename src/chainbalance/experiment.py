@@ -118,12 +118,13 @@ def _method_entry(fold_records: list[dict], repeats: int) -> dict:
 
 
 def run_cell(ds: MultiLabelDataset, fold_of: np.ndarray, config: ExperimentConfig,
-             repeat: int, fold: int, method_idx: int) -> tuple[dict, float]:
+             repeat: int, fold: int, method_idx: int) -> tuple[dict, dict]:
     """One (repeat, fold, method) cell: train config.methods[method_idx] on
     the rows outside fold (fold_of holds that repeat's fold id of each row),
     score every row and report on both halves. Returns the cell's fold
-    record and its training seconds. A cell reads only its arguments, so
-    cells may be computed in any order.
+    record and its timing record, the seconds each of those three steps
+    took. A cell reads only its arguments, so cells may be computed in any
+    order.
     """
     test_rows = np.flatnonzero(fold_of == fold)
     train_rows = np.flatnonzero(fold_of != fold)
@@ -132,13 +133,15 @@ def run_cell(ds: MultiLabelDataset, fold_of: np.ndarray, config: ExperimentConfi
     spec = config.ensemble_spec(config.methods[method_idx], seed)
     started = time.perf_counter()
     model = train_ensemble(train_ds, spec, n_jobs=config.n_jobs)
-    elapsed = time.perf_counter() - started
+    trained = time.perf_counter()
     # Trees predict row by row, so one call scores both halves.
     scores = predict_relevance_batch(model, ds.features)
+    predicted = time.perf_counter()
     report = build_report(
         scores[train_rows], train_ds.labels, scores[test_rows], ds.labels[test_rows],
         skipped_label_count=len(model.skipped_labels),
     )
+    reported = time.perf_counter()
     return {
         "repeat": repeat,
         "fold": fold,
@@ -147,30 +150,36 @@ def run_cell(ds: MultiLabelDataset, fold_of: np.ndarray, config: ExperimentConfi
         "instance_budget": model.instance_budget,
         "classifier_counts": model.vote_counts.tolist(),
         "report": report,
-    }, elapsed
+    }, {"repeat": repeat, "fold": fold, "train_seconds": trained - started,
+        "predict_seconds": predicted - trained, "report_seconds": reported - predicted}
 
 
 def run_cv(config: ExperimentConfig) -> dict:
     """Run the experiment and write result files into config.out_dir.
 
-    Writes cv_results.json (deterministic), per_label.csv, and timings.json.
-    Returns the cv_results payload. The directory is made first, so a path
-    that cannot hold it fails before any training. Every repeat's folds are
-    split, and the dataset ranked, before any cell runs.
+    Writes cv_results.json (deterministic), per_label.csv, and last
+    timings.json, the seconds each stage took. Returns the cv_results
+    payload. The directory is made first, so a path that cannot hold it
+    fails before any training. Every repeat's folds are split, and the
+    dataset ranked, before any cell runs.
     """
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    started = time.perf_counter()
     ds = load_mulan_files(config.arff_path, config.xml_path)
     if config.feature_keep_fraction is not None:
         ds = reduce_features_by_frequency(ds, config.feature_keep_fraction)
+    loaded = time.perf_counter()
     master = RngStream(config.seed)
     fold_ofs = [
         iterative_stratified_kfold(ds, config.folds, master.child(_FOLD_SPLIT, repeat))
         for repeat in range(config.repeats)
     ]
+    split = time.perf_counter()
     # Codes ranked on all rows order each training half like its own codes,
     # so every cell gathers these instead of ranking its half again.
     ds.ranks
+    ranked = time.perf_counter()
     n_methods = len(config.methods)
     cells = product(range(config.repeats), range(config.folds), range(n_methods))
     outcomes = [run_cell(ds, fold_ofs[r], config, r, f, m) for r, f, m in cells]
@@ -196,16 +205,17 @@ def run_cv(config: ExperimentConfig) -> dict:
         "methods": {m: _method_entry(recs, config.repeats) for m, recs in folds.items()},
     }
 
+    writing = time.perf_counter()
     write_json(out_dir / "cv_results.json", payload, indent=2, sort_keys=True)
-    timings = {
-        method: [
-            {"repeat": rec["repeat"], "fold": rec["fold"], "train_seconds": seconds}
-            for rec, seconds in done
-        ]
-        for method, done in per_method.items()
-    }
-    write_json(out_dir / "timings.json", {"methods": timings}, indent=2)
     _write_per_label_csv(out_dir / "per_label.csv", folds)
+    timings = {
+        "load_seconds": loaded - started,
+        "split_seconds": split - loaded,
+        "rank_seconds": ranked - split,
+        "write_seconds": time.perf_counter() - writing,
+        "methods": {method: [t for _, t in done] for method, done in per_method.items()},
+    }
+    write_json(out_dir / "timings.json", timings, indent=2)
     return payload
 
 

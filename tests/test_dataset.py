@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import io
+import math
 import re
 import sys
 import tracemalloc
@@ -18,8 +19,8 @@ import chainbalance.dataset as dataset_module
 from chainbalance.dataset import (
     Attribute,
     MultiLabelDataset,
+    LabelImbalanceStats,
     all_label_stats,
-    compute_label_stats,
     load_mulan,
     load_mulan_files,
     reduce_features_by_frequency,
@@ -408,15 +409,57 @@ def test_label_stats_examples():
         label_names=("A", "B", "C"),
         feature_kinds=(Attribute("x"),),
     )
-    s0 = compute_label_stats(ds, 0)
+    s0, s1, s2 = all_label_stats(ds)
+    assert [s.label_index for s in (s0, s1, s2)] == [0, 1, 2]
     assert (s0.minority_count, s0.majority_count, s0.minority_class) == (3, 7, 1)
     assert s0.imr == pytest.approx(7 / 3)
-    s1 = compute_label_stats(ds, 1)
     assert (s1.minority_count, s1.majority_count, s1.minority_class) == (5, 5, 1)
     assert s1.imr == 1.0
-    s2 = compute_label_stats(ds, 2)
     assert (s2.minority_count, s2.majority_count) == (0, 10)
     assert s2.imr is None
+
+
+def _column_stats(ds: MultiLabelDataset, j: int) -> LabelImbalanceStats:
+    """The per-column formula all_label_stats replaced, as the reference."""
+    ones = int(ds.labels[:, j].sum())
+    zeros = ds.n - ones
+    m = min(ones, zeros)
+    big = max(ones, zeros)
+    return LabelImbalanceStats(
+        label_index=j,
+        minority_count=m,
+        majority_count=big,
+        minority_class=1 if ones <= zeros else 0,
+        imr=big / m if m > 0 else None,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_all_label_stats_equal_the_per_column_formula(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    q = data.draw(st.integers(1, 5), label="q")
+    # Each column is all 0, all 1, an exact tie (even n) or any mix.
+    columns = []
+    for _ in range(q):
+        kind = data.draw(st.sampled_from(["zeros", "ones", "tie", "mixed"]))
+        if kind == "mixed" or (kind == "tie" and n % 2):
+            column = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        elif kind == "tie":
+            column = data.draw(st.permutations([0, 1] * (n // 2)))
+        else:
+            column = [int(kind == "ones")] * n
+        columns.append(column)
+    ds = MultiLabelDataset(
+        features=np.zeros((n, 1)),
+        labels=np.array(columns, dtype=np.int8).T,
+        label_names=tuple(f"L{j}" for j in range(q)),
+        feature_kinds=(Attribute("x"),),
+    )
+    stats = all_label_stats(ds)
+    assert stats == [_column_stats(ds, j) for j in range(q)]
+    for stat in stats:
+        assert type(stat.minority_count) is int and type(stat.majority_count) is int
 
 
 def test_minority_majority_sum_invariant():
@@ -521,6 +564,38 @@ def test_reduce_identity_and_all_ties():
     assert reduce_features_by_frequency(ds, 1.0) is ds
     reduced = reduce_features_by_frequency(ds, 0.25)
     assert [a.name for a in reduced.feature_kinds] == ["x0"]
+
+
+def _sorted_rule(ds: MultiLabelDataset, keep_fraction: float) -> list[int]:
+    """The columns of the Python sort that reduce_features_by_frequency
+    replaced, as the reference."""
+    nonzero = (ds.features != 0).sum(axis=0)
+    ranked = sorted(range(ds.d), key=lambda j: (-int(nonzero[j]), j))
+    return sorted(ranked[:math.ceil(keep_fraction * ds.d)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reduce_by_frequency_keeps_the_sorted_rule_columns(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    d = data.draw(st.integers(1, 10), label="d")
+    # Few distinct values, so that non-zero counts tie often; -0.0 is zero.
+    cells = data.draw(st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300]), min_size=n * d, max_size=n * d
+    ))
+    features = np.array(cells, dtype=np.float64).reshape(n, d)
+    ds = MultiLabelDataset(
+        features=features,
+        labels=np.zeros((n, 1), dtype=np.int8),
+        label_names=("L",),
+        feature_kinds=tuple(Attribute(f"x{i}") for i in range(d)),
+    )
+    for keep_fraction in (0.01, 0.25, 0.37, 0.5, 0.99, 1.0):
+        reduced = reduce_features_by_frequency(ds, keep_fraction)
+        kept = _sorted_rule(ds, keep_fraction)
+        assert [a.name for a in reduced.feature_kinds] == [f"x{j}" for j in kept]
+        assert np.array_equal(reduced.features, features[:, kept])
+        assert np.array_equal(np.signbit(reduced.features), np.signbit(features[:, kept]))
 
 
 def test_reduce_preserves_labels():

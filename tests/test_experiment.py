@@ -162,8 +162,12 @@ def test_cells_computed_alone_in_reverse_order_equal_run_cv_folds(tmp_path, monk
     ]
     cells = list(product(range(config.repeats), range(config.folds), range(len(METHODS))))
     for repeat, fold, m in reversed(cells):
-        record, seconds = run_cell(loaded, fold_ofs[repeat], config, repeat, fold, m)
-        assert seconds >= 0.0
+        record, times = run_cell(loaded, fold_ofs[repeat], config, repeat, fold, m)
+        assert list(times) == [
+            "repeat", "fold", "train_seconds", "predict_seconds", "report_seconds"
+        ]
+        assert (times["repeat"], times["fold"]) == (repeat, fold)
+        assert all(times[key] >= 0.0 for key in list(times)[2:])
         expected = payload["methods"][METHODS[m]]["folds"][repeat * config.folds + fold]
         assert record == expected
     assert "ranks" not in loaded.__dict__
@@ -191,12 +195,18 @@ def test_run_cv_timings_layout(files, tmp_path):
     timings = json.loads(text)
     # Insertion order and an indent of 2, as json.dumps(timings, indent=2).
     assert text == json.dumps(timings, indent=2) + "\n"
+    assert list(timings) == [
+        "load_seconds", "split_seconds", "rank_seconds", "write_seconds", "methods"
+    ]
+    assert all(timings[key] >= 0.0 for key in list(timings)[:-1])
     assert list(timings["methods"]) == ["BR", "ECCRU"]
+    cell_keys = ["repeat", "fold", "train_seconds", "predict_seconds", "report_seconds"]
     for records in timings["methods"].values():
         assert [(r["repeat"], r["fold"]) for r in records] == [
             (0, 0), (0, 1), (1, 0), (1, 1)
         ]
-        assert all(list(r) == ["repeat", "fold", "train_seconds"] for r in records)
+        assert all(list(r) == cell_keys for r in records)
+        assert all(r[key] >= 0.0 for r in records for key in cell_keys[2:])
 
 
 def test_write_json_matches_dumps(tmp_path):
