@@ -1,6 +1,6 @@
 """Imbalance-aware classifier chain ensembles for multi-label learning."""
 
-from .chain import ChainModel, ChainSpec, train_cc, train_ccru
+from .chain import ChainModel, ChainSpec, train_chain
 from .dataset import (
     DatasetSummary,
     LabelImbalanceStats,
@@ -87,7 +87,6 @@ __all__ = [
     "select_threshold",
     "summarize",
     "sweep",
-    "train_cc",
-    "train_ccru",
+    "train_chain",
     "train_ensemble",
 ]

@@ -65,11 +65,6 @@ class ChainModel:
                 )
 
 
-def _check_chain(ds: MultiLabelDataset, chain: ChainSpec) -> None:
-    if any(j >= ds.q for j in chain.sequence):
-        raise ValueError("chain references a label outside the dataset")
-
-
 def _with_chain_columns(
     base: np.ndarray, links: int, rows: np.ndarray | None = None
 ) -> np.ndarray:
@@ -83,22 +78,29 @@ def _with_chain_columns(
     return np.hstack([base, np.empty((base.shape[0], links - 1), dtype=base.dtype)])
 
 
-def _train_chain(
+def train_chain(
     ds: MultiLabelDataset,
     chain: ChainSpec,
     spec: TreeSpec,
-    streams: list[RngStream] | None,
-    rows: np.ndarray | None,
+    streams: list[RngStream] | None = None,
+    rows: np.ndarray | None = None,
 ) -> ChainModel:
-    """The link loop of every method; streams=None trains a plain chain, and
-    otherwise link j fits on a balanced subset drawn from streams[j].
+    """Train one chain, plain or undersampled: the link loop of every method.
+
+    With streams=None the chain is plain: every link fits on all rows, and
+    the column after it holds that link's true labels. Otherwise there must
+    be one stream per link: link j fits on a balanced subset drawn from
+    streams[j] (majority rows removed at random), so its label must have
+    both classes, and the column after it holds the link's predictions for
+    every row, balanced or not.
 
     The chain trains on ds.take_rows(rows), or on ds when rows is None, but
     gathers those rows itself: its features and rank codes each get one
     buffer, filled from ds once. A 0/1 column is its own rank code, so each
     link's output extends both the same way.
     """
-    _check_chain(ds, chain)
+    if any(j >= ds.q for j in chain.sequence):
+        raise ValueError("chain references a label outside the dataset")
     if streams is not None and len(streams) != len(chain):
         raise ValueError(f"{len(streams)} streams for a chain of {len(chain)} links")
     links = []
@@ -128,43 +130,7 @@ def _train_chain(
             column = targets if streams is None else predict_batch(model, features[:, :width])
             features[:, width] = column
             ranks[:, width] = column
-    return ChainModel(
-        links=tuple(links),
-        base_arity=ds.d,
-        fit_class_counts=tuple(counts),
-    )
-
-
-def train_cc(
-    ds: MultiLabelDataset,
-    chain: ChainSpec,
-    spec: TreeSpec,
-    rows: np.ndarray | None = None,
-) -> ChainModel:
-    """Train a plain chain: link j sees the true values of earlier labels.
-
-    With rows, such as bootstrap row ids, the chain trains on those rows of
-    ds, as on ds.take_rows(rows).
-    """
-    return _train_chain(ds, chain, spec, None, rows)
-
-
-def train_ccru(
-    ds: MultiLabelDataset,
-    chain: ChainSpec,
-    spec: TreeSpec,
-    streams: list[RngStream],
-    rows: np.ndarray | None = None,
-) -> ChainModel:
-    """Train an undersampled chain.
-
-    Link j fits on a balanced subset drawn from streams[j] (majority rows
-    removed at random) and then predicts every row, balanced or not, to
-    produce the next augmented column. Every chained label must have both
-    classes present, and there must be one stream per link. With rows, the
-    chain trains on those rows of ds, as on ds.take_rows(rows).
-    """
-    return _train_chain(ds, chain, spec, streams, rows)
+    return ChainModel(links=tuple(links), base_arity=ds.d, fit_class_counts=tuple(counts))
 
 
 def predict_chain_batch(model: ChainModel, X: np.ndarray) -> list[tuple[int, np.ndarray]]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
@@ -119,11 +119,25 @@ class MultiLabelDataset:
         Codes already ranked here are gathered, not ranked again: rows taken
         from a superset still compare like their values.
         """
-        taken = replace(self, features=self.features[indices], labels=self.labels[indices])
+        arrays = {"features": self.features[indices], "labels": self.labels[indices]}
         if "ranks" in self.__dict__:
-            codes = self.ranks[indices]
-            codes.setflags(write=False)
-            object.__setattr__(taken, "ranks", codes)
+            arrays["ranks"] = self.ranks[indices]
+        return self._gathered(self.feature_kinds, **arrays)
+
+    def _gathered(
+        self, feature_kinds: tuple[Attribute, ...], **arrays: np.ndarray
+    ) -> "MultiLabelDataset":
+        """A dataset of rows or columns gathered from this validated one, built
+        without __post_init__, which would check and copy them again.
+
+        arrays holds C-ordered features and labels, and ranks when known; each
+        is set read-only.
+        """
+        for values in arrays.values():
+            values.setflags(write=False)
+        taken = object.__new__(MultiLabelDataset)
+        vars(taken).update(arrays, feature_kinds=feature_kinds)
+        vars(taken).update(label_names=self.label_names, relation=self.relation)
         return taken
 
 
@@ -526,8 +540,8 @@ def reduce_features_by_frequency(
     keep = math.ceil(keep_fraction * ds.d)
     ranked = np.argsort(-np.count_nonzero(ds.features, axis=0), kind="stable")
     retained = np.sort(ranked[:keep])
-    return replace(
-        ds,
-        features=ds.features[:, retained],
-        feature_kinds=tuple(ds.feature_kinds[j] for j in retained),
+    return ds._gathered(
+        tuple(ds.feature_kinds[j] for j in retained),
+        features=np.ascontiguousarray(ds.features[:, retained]),
+        labels=ds.labels,
     )

@@ -22,13 +22,10 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import (
-    ChainModel,
-    ChainSpec,
-    predict_chain_batch,
-    train_cc,
-    train_ccru,
-)
+from .chain import ChainModel, ChainSpec, predict_chain_batch
+# One trainer under two names: perfbench/spans.py wraps each of them.
+from .chain import train_chain as train_cc
+from .chain import train_chain as train_ccru
 from .dataset import MultiLabelDataset, all_label_stats
 from .errors import (
     ArityMismatch,
@@ -244,7 +241,7 @@ def _train_round(
     else:
         chains = [ChainSpec((label,)) for label in labels]
     if not method.undersampled:
-        return [train_cc(ds, chain, tree, rows) for chain in chains]
+        return [train_cc(ds, chain, tree, rows=rows) for chain in chains]
     # Link k of a bagged round, counting across its chains, undersamples from
     # child(_TRAIN, k). An unbagged round holds one label, which undersamples
     # from the substream a bootstrap would have drawn.

@@ -605,6 +605,78 @@ def test_reduce_preserves_labels():
     assert np.array_equal(reduced.labels, ds.labels)
 
 
+def test_subsets_of_a_dataset_are_not_validated_again(monkeypatch):
+    ds = make_dataset(30, [0.3, 0.6], noise_features=6, seed=5)
+    calls = []
+    validate = MultiLabelDataset.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        validate(self)
+
+    monkeypatch.setattr(MultiLabelDataset, "__post_init__", counted)
+    ds.take_rows(np.arange(10))
+    reduce_features_by_frequency(ds, 0.5)
+    assert len(calls) == 0
+
+
+def _same_dataset(got: MultiLabelDataset, want: MultiLabelDataset) -> None:
+    for name in ("features", "labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert a.flags.c_contiguous and not a.flags.writeable
+    assert got.label_names == want.label_names
+    assert got.feature_kinds == want.feature_kinds
+    assert got.relation == want.relation
+    assert ("ranks" in got.__dict__) == ("ranks" in want.__dict__)
+    if "ranks" in got.__dict__:
+        assert not got.ranks.flags.writeable
+        assert np.array_equal(got.ranks, want.ranks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_subsets_equal_their_validated_construction(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    d = data.draw(st.integers(1, 6), label="d")
+    q = data.draw(st.integers(1, 3), label="q")
+    values = st.sampled_from([0.0, 1.0, -2.5, 3.0])
+    features = np.array(data.draw(st.lists(values, min_size=n * d, max_size=n * d)))
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n * q, max_size=n * q)))
+    ds = MultiLabelDataset(
+        features=features.reshape(n, d),
+        labels=labels.reshape(n, q).astype(np.int8),
+        label_names=tuple(f"L{j}" for j in range(q)),
+        feature_kinds=tuple(Attribute(f"x{i}") for i in range(d)),
+        relation="drawn",
+    )
+    if data.draw(st.booleans(), label="ranked"):
+        ds.ranks  # computed once, then cached on ds
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12)))
+    want = MultiLabelDataset(
+        features=ds.features[rows],
+        labels=ds.labels[rows],
+        label_names=ds.label_names,
+        feature_kinds=ds.feature_kinds,
+        relation=ds.relation,
+    )
+    if "ranks" in ds.__dict__:
+        object.__setattr__(want, "ranks", ds.ranks[rows])
+        want.ranks.setflags(write=False)
+    _same_dataset(ds.take_rows(rows), want)
+    keep_fraction = data.draw(st.sampled_from([0.2, 0.5, 0.9]), label="keep_fraction")
+    reduced = reduce_features_by_frequency(ds, keep_fraction)
+    kept = [int(a.name[1:]) for a in reduced.feature_kinds]
+    want = MultiLabelDataset(
+        features=ds.features[:, kept],
+        labels=ds.labels,
+        label_names=ds.label_names,
+        feature_kinds=tuple(ds.feature_kinds[j] for j in kept),
+        relation=ds.relation,
+    )
+    _same_dataset(reduced, want)
+
+
 def test_round_trip_dense_serialization(small_ds):
     text = to_arff_text(small_ds)
     xml = to_xml_text(small_ds)
