@@ -9,12 +9,12 @@ integer-coded) and a binary label matrix whose column order follows the XML.
 from __future__ import annotations
 
 import math
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
+from xml.parsers import expat
 
 import numpy as np
 
@@ -289,18 +289,28 @@ def _parse_attribute_line(line: str, lineno: int) -> Attribute:
 
 
 def parse_label_names(xml_source: str | Path | TextIO) -> tuple[str, ...]:
-    """Label names from a Mulan XML header, in declaration order."""
+    """Label names from a Mulan XML header, in declaration order, read on expat
+    as ElementTree reads them; an XML error wins over a nameless label."""
+    names: list[str | None] = []
+    parser = expat.ParserCreate(namespace_separator="}")  # a tag is "uri}local"
+
+    def start(tag: str, attrs: dict[str, str]) -> None:
+        if tag.rsplit("}", 1)[-1] == "label":
+            names.append(attrs.get("name"))
+
+    def unexpanded(text: str) -> None:  # expat could not expand it; ElementTree refuses it
+        if text.startswith("&"):
+            line, column = parser.ErrorLineNumber, parser.ErrorColumnNumber
+            raise expat.ExpatError(f"undefined entity {text[:100]}: line {line}, column {column}")
+
+    parser.StartElementHandler, parser.DefaultHandlerExpand = start, unexpanded
+    parser.CharacterDataHandler = lambda text: None  # so text and &amp; skip unexpanded
     try:
-        root = ET.fromstring(_read_text(xml_source))
-    except ET.ParseError as exc:
+        parser.Parse(_read_text(xml_source), True)
+    except expat.ExpatError as exc:
         raise MalformedArff(f"invalid label XML: {exc}") from exc
-    names: list[str] = []
-    for elem in root.iter():
-        if elem.tag.rsplit("}", 1)[-1] == "label":
-            name = elem.get("name")
-            if name is None:
-                raise MalformedArff("label element without a name attribute")
-            names.append(name)
+    if None in names:
+        raise MalformedArff("label element without a name attribute")
     if not names:
         raise MalformedArff("label XML declares no labels")
     if len(set(names)) != len(names):

@@ -15,7 +15,6 @@ target each label.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -258,11 +257,10 @@ def _train_round(
 
 def _run_tasks(tasks: list[Callable[[], list[ChainModel]]], n_jobs: int) -> list[ChainModel]:
     if n_jobs == 1 or len(tasks) <= 1:
-        results = [task() for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(lambda t: t(), tasks))
-    return [model for group in results for model in group]
+        return [model for task in tasks for model in task()]
+    from concurrent.futures import ThreadPoolExecutor  # loaded only for a pool
+    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+        return [model for group in pool.map(lambda t: t(), tasks) for model in group]
 
 
 def train_ensemble(

@@ -148,7 +148,7 @@ EXTREMES_CELLS = 6144
 
 # Most rows of a node whose narrow search blocks read the children's Gini
 # terms from _gini_terms' table instead of computing them. The table takes
-# (GINI_TABLE_ROWS + 1)**2 doubles, 0.53 MB at 256.
+# (GINI_TABLE_ROWS + 1)**2 doubles, 0.53 MB at 256; its build peaks at 1.13 MB.
 GINI_TABLE_ROWS = 256
 
 @cache
@@ -156,11 +156,13 @@ def _gini_terms(rows: int) -> tuple[np.ndarray, np.ndarray]:
     """The flat table T with T[s * (rows + 1) + c] = ((c/s)*2s)*(1-c/s), a
     child's term of the weighted Gini for c positives of s rows, by the same
     float operations as fit_tree's weighted_gini; and the row offsets
-    s * (rows + 1). Built once per process, on first use."""
+    s * (rows + 1). Built once per process, on first use, in place."""
     sizes = np.arange(rows + 1, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):  # row 0 is unused
-        share = np.divide(sizes, sizes[:, None])
-        terms = (share * (2.0 * sizes)[:, None]) * (1.0 - share)
+        terms = np.divide(sizes, sizes[:, None])
+        rest = 1.0 - terms
+        terms *= (2.0 * sizes)[:, None]
+        terms *= rest
     terms.flags.writeable = False
     return terms.ravel(), np.arange(0, (rows + 1) ** 2, rows + 1)
 

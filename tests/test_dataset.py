@@ -7,6 +7,7 @@ import math
 import re
 import sys
 import tracemalloc
+import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
 
@@ -102,6 +103,115 @@ def test_header_variants(small_ds):
 def test_byte_order_mark_tolerated():
     ds = load_mulan("﻿" + DENSE_ARFF, "﻿" + XML_L1)
     assert (ds.n, ds.d, ds.q) == (2, 2, 1)
+
+
+def reference_label_names(text: str) -> tuple[str, ...]:
+    """Label names read with xml.etree.ElementTree: each element's local tag,
+    a nameless label reported as soon as the tree walk meets it, the other
+    checks after the walk."""
+    try:
+        root = ET.fromstring(text.lstrip("\ufeff"))
+    except ET.ParseError as exc:
+        raise MalformedArff(f"invalid label XML: {exc}") from exc
+    names = []
+    for elem in root.iter():
+        if elem.tag.rsplit("}", 1)[-1] == "label":
+            if elem.get("name") is None:
+                raise MalformedArff("label element without a name attribute")
+            names.append(elem.get("name"))
+    if not names:
+        raise MalformedArff("label XML declares no labels")
+    if len(set(names)) != len(names):
+        raise MalformedArff("duplicate label names in XML")
+    return tuple(names)
+
+
+def _label_outcome(read, source) -> tuple[str, ...] | str:
+    """The names read from source, or the message of the MalformedArff."""
+    try:
+        return read(source)
+    except MalformedArff as exc:
+        return str(exc)
+
+
+NAMELESS = "label element without a name attribute"
+
+LABEL_XML_CASES = [
+    # Nested and namespaced labels, in document order.
+    (
+        '<?xml version="1.0" encoding="utf-8"?>\n'
+        '<labels xmlns="http://mulan.sourceforge.net/labels" xmlns:m="urn:m">\n'
+        '  <label name="A"><label name="B"/></label>\n'
+        '  <group><m:label name="C"/></group><label name="D"/>\n'
+        "</labels>\n",
+        ("A", "B", "C", "D"),
+    ),
+    ('<labels><label name="é"/><x:label xmlns:x="urn:x" name="b"/></labels>', ("é", "b")),
+    ("\ufeff" + '<labels><label name="A"/></labels>', ("A",)),
+    ('<!DOCTYPE labels [<!ENTITY e "E">]><labels><label name="&e;&amp;"/></labels>', ("E&",)),
+    ('<labels><label name="A"/><label/></labels>', NAMELESS),
+    ('<labels xmlns:m="urn:m"><label m:name="A"/></labels>', NAMELESS),
+    ('<labels><labels name="A"/></labels>', "label XML declares no labels"),
+    ("<labels/>", "label XML declares no labels"),
+    ('<labels><label name="A"/><g><label name="A"/></g></labels>', "duplicate label names in XML"),
+    ('<labels><label name="A"></labels>', "invalid label XML: mismatched tag: line 1, column 26"),
+    ("", "invalid label XML: no element found: line 1, column 0"),
+    (
+        '<labels><label name="A"/>\n<label name="B" name="C"/></labels>',
+        "invalid label XML: duplicate attribute: line 2, column 16",
+    ),
+    (
+        '<labels xmlns="urn:a"><m:label name="A"/></labels>',
+        "invalid label XML: unbound prefix: line 1, column 22",
+    ),
+    ('<labels>&x;<label name="A"/></labels>', "invalid label XML: undefined entity: line 1, column 8"),
+    (
+        '<!DOCTYPE labels SYSTEM "labels.dtd"><labels>&x;<label name="A"/></labels>',
+        "invalid label XML: undefined entity &x;: line 1, column 45",
+    ),
+    (
+        '<!DOCTYPE labels [<!ENTITY e SYSTEM "e.xml">]><labels>&e;<label name="A"/></labels>',
+        "invalid label XML: undefined entity &e;: line 1, column 54",
+    ),
+    ("<labels><![CDATA[&x;]]>&#38;&#x41;<label name='A'/></labels>", ("A",)),
+    # A malformed document that also holds a nameless label: the XML error wins.
+    ('<labels><label/><label name="A"></labels>', "invalid label XML: mismatched tag: line 1, column 34"),
+    ("<labels><label/></labels><x/>", "invalid label XML: junk after document element: line 1, column 25"),
+]
+
+
+@pytest.mark.parametrize("text, expected", LABEL_XML_CASES)
+@pytest.mark.parametrize("kind", ["str", "path", "stream"])
+def test_label_names_and_errors(text, expected, kind, tmp_path):
+    source = text
+    if kind == "path":
+        source = tmp_path / "labels.xml"
+        source.write_bytes(text.encode("utf-8"))
+    elif kind == "stream":
+        source = io.StringIO(text)
+    assert _label_outcome(dataset_module.parse_label_names, source) == expected
+    assert _label_outcome(reference_label_names, text) == expected
+
+
+LABEL_XML_PIECES = [
+    '<label name="A"/>', '<label name="B"/>', "<label/>", '<m:label name="C"/>',
+    '<label name="A">', "</label>", "<g>", "</g>", "&x;", "&amp;", "<", "text",
+    "<!-- note -->", "<?pi x?>", "<![CDATA[&x;]]>", "&#38;",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(LABEL_XML_PIECES), max_size=8),
+    st.sampled_from(["", '<!DOCTYPE labels SYSTEM "labels.dtd">', "\ufeff"]),
+    st.booleans(),
+)
+def test_label_names_match_element_tree(pieces, prolog, closed):
+    # Any mix of labels, errors and entity references gives the names or
+    # the message that an ElementTree walk gives, with the same precedence.
+    text = prolog + '<labels xmlns:m="urn:m">' + "".join(pieces) + "</labels>" * closed
+    got = _label_outcome(dataset_module.parse_label_names, text)
+    assert got == _label_outcome(reference_label_names, text)
 
 
 def test_quoted_attribute_names():

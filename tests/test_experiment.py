@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import product
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import chainbalance
 import chainbalance.dataset as dataset_mod
 from chainbalance.dataset import load_mulan_files
 from chainbalance.ensemble import (
@@ -252,6 +256,45 @@ def test_run_cv_deterministic_incl_parallel(files, tmp_path):
     b_bytes = (tmp_path / "b" / "cv_results.json").read_bytes()
     assert a_bytes == b_bytes
     assert a == b
+
+
+LAZY_IMPORTS_SCRIPT = """
+import sys
+from pathlib import Path
+
+import chainbalance, chainbalance.cli
+from chainbalance.ensemble import METHODS, EnsembleSpec, train_ensemble
+from chainbalance.dataset import load_mulan_files
+from chainbalance.experiment import ExperimentConfig, run_cv
+
+arff, xml, out = map(Path, sys.argv[1:])
+run_cv(ExperimentConfig(arff, xml, out, METHODS, c=3, repeats=2, folds=2, n_jobs=1))
+loaded = [name for name in ("concurrent.futures", "xml.etree.ElementTree") if name in sys.modules]
+assert not loaded, loaded
+
+from conftest import model_payload
+
+ds, spec = load_mulan_files(arff, xml), EnsembleSpec(method="ECCRU3", c=3, seed=2)
+serial = train_ensemble(ds, spec, n_jobs=1)
+assert "concurrent.futures" not in sys.modules
+parallel = train_ensemble(ds, spec, n_jobs=2)
+assert "concurrent.futures" in sys.modules
+assert model_payload(serial) == model_payload(parallel)
+"""
+
+
+def test_serial_run_loads_no_thread_pool_or_xml_tree(files, tmp_path):
+    # In a fresh interpreter, a run at n_jobs=1 imports neither the thread
+    # pool nor an XML tree; training at n_jobs=2 loads the pool and gives
+    # the n_jobs=1 model.
+    arff, xml = files
+    paths = [str(Path(chainbalance.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    subprocess.run(
+        [sys.executable, "-c", LAZY_IMPORTS_SCRIPT, arff, xml, str(tmp_path / "out")],
+        env=env, check=True, timeout=120,
+    )
+    assert (tmp_path / "out" / "cv_results.json").exists()
 
 
 def test_run_cv_scores_half_without_two_class_label(tmp_path):

@@ -422,6 +422,20 @@ def test_gini_table_holds_weighted_gini_terms():
         assert got.tobytes() == expected.tobytes(), s
 
 
+def test_gini_table_build_holds_two_tables():
+    # The build fills the table in place, so besides it it holds only one
+    # more table (1 - c/s) and numpy's broadcast buffers.
+    rows = learner_module.GINI_TABLE_ROWS
+    tracemalloc.start()
+    try:
+        terms, _ = learner_module._gini_terms.__wrapped__(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert terms.nbytes == (rows + 1) ** 2 * 8
+    assert peak <= 2.2 * terms.nbytes
+
+
 def _views(X: np.ndarray, kind: str) -> np.ndarray:
     """X itself, or equal values laid out as a view that predict_batch
     must read through: the prefix columns of a wider buffer, reversed
