@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import MultiLabelDataset
-from .errors import ArityMismatch, SingleClassInput
-from .learner import BinaryModel, TreeSpec, fit_tree, predict_batch
+from .errors import SingleClassInput
+from .learner import BinaryModel, TreeSpec, feature_rows, fit_tree, predict_batch
 from .sampling import BinaryDataset, RngStream, random_undersample
 
 
@@ -135,13 +135,8 @@ def train_chain(
 
 def predict_chain_batch(model: ChainModel, X: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """One 0/1 vote vector per chained label for every row of X."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.base_arity:
-        raise ArityMismatch(
-            f"expected {model.base_arity} features, got shape {X.shape}"
-        )
     votes = []
-    features = _with_chain_columns(X, len(model.links))
+    features = _with_chain_columns(feature_rows(X, model.base_arity), len(model.links))
     for offset, (label, link) in enumerate(model.links):
         width = model.base_arity + offset
         preds = predict_batch(link, features[:, :width])

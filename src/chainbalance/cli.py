@@ -296,21 +296,11 @@ def rank(input_dir: Path | None, result_files: tuple[Path, ...],
             if resolved[i] in resolved[:i]:
                 raise ConfigError(f"results file {path} is given more than once")
         chosen = metrics or METRIC_KEYS
-        for i, metric in enumerate(chosen):
-            if metric in chosen[:i]:
-                raise ConfigError(f"metric {metric!r} is given more than once")
-        table: dict[str, dict[str, float]] = {}
-        methods: list[str] = []
-        for metric in chosen:
-            methods, _, matrix = collect_rank_matrix(paths, metric)
-            ranks = average_ranks(matrix, higher_is_better=True)
-            for method, value in zip(methods, ranks):
-                table.setdefault(method, {})[metric] = float(value)
+        methods, _, matrices = collect_rank_matrix(paths, chosen)
+        ranks = [average_ranks(matrices[metric], higher_is_better=True) for metric in chosen]
         lines = [["method", *chosen]]
-        for method in methods:
-            lines.append(
-                [method, *[f"{table[method][metric]:.4f}" for metric in chosen]]
-            )
+        for i, method in enumerate(methods):
+            lines.append([method, *[f"{column[i]:.4f}" for column in ranks]])
         if out_path is None:
             writer = csv.writer(sys.stdout)
             writer.writerows(lines)

@@ -7,7 +7,8 @@ first; EBRUS bags BRUS over bootstrap rounds. ECC bags plain chains over
 bootstrap resamples and random label orders; ECCRU does the same with
 undersampled chains. ECCRU2 redistributes the training budget by building
 more classifiers for rarer labels, producing nested partial chains, and
-ECCRU3 adds a lower bound so that full chains are still built. Predictions
+ECCRU3 raises the budget's floor so that full chains are still built. The
+two share all four switches and differ only in that floor. Predictions
 are per-label vote fractions, normalized by how many classifiers actually
 target each label.
 """
@@ -26,12 +27,8 @@ from .chain import ChainModel, ChainSpec, predict_chain_batch
 from .chain import train_chain as train_cc
 from .chain import train_chain as train_ccru
 from .dataset import MultiLabelDataset, all_label_stats
-from .errors import (
-    ArityMismatch,
-    ConfigError,
-    ZeroMinorityCount,
-)
-from .learner import TreeSpec
+from .errors import ConfigError, ZeroMinorityCount
+from .learner import TreeSpec, feature_rows
 from .learner import fit_tree  # noqa: F401  (unused; perfbench/spans.py wraps it)
 from .sampling import RngStream, bootstrap
 from .sampling import random_undersample  # noqa: F401  (unused; perfbench/spans.py wraps it)
@@ -115,7 +112,6 @@ class ClassifierBudget:
 
     targets: tuple[int, ...]
     raw: tuple[int, ...]
-    total_minority: int
 
 
 @dataclass(frozen=True)
@@ -161,9 +157,10 @@ def compute_classifier_budget(
 
     The raw count for label j is floor(c * sum(m) / (q * m_j)), so labels
     with fewer minority examples get more classifiers at the same total row
-    budget. ECCRU2 caps counts at c*theta_max (and lifts zeros to one);
-    ECCRU3 also raises them to at least c*theta_min. Other methods get the
-    raw counts.
+    budget. ECCRU2 and ECCRU3 clip the counts to one range, which differs
+    only in its floor: at most c*theta_max, and at least one classifier
+    (ECCRU2) or c*theta_min (ECCRU3, theta_min 0.5 when unset). Other
+    methods get the raw counts.
     """
     counts = [int(m) for m in minority_counts]
     if not counts:
@@ -173,16 +170,13 @@ def compute_classifier_budget(
     q = len(counts)
     total = sum(counts)
     raw = tuple((spec.c * total) // (q * m) for m in counts)
-    if spec.method == "ECCRU2":
+    targets = raw
+    if _METHOD_TABLE[spec.method].budgeted:
+        theta_min = 0.5 if spec.theta_min is None else spec.theta_min
+        floor_ = 1 if spec.method == "ECCRU2" else _int_ceil(spec.c * theta_min)
         cap = _int_floor(spec.c * spec.theta_max)
-        targets = tuple(min(max(r, 1), cap) for r in raw)
-    elif spec.method == "ECCRU3":
-        cap = _int_floor(spec.c * spec.theta_max)
-        floor_ = _int_ceil(spec.c * (0.5 if spec.theta_min is None else spec.theta_min))
         targets = tuple(min(max(r, floor_), cap) for r in raw)
-    else:
-        targets = raw
-    return ClassifierBudget(targets=targets, raw=raw, total_minority=total)
+    return ClassifierBudget(targets=targets, raw=raw)
 
 
 def chain_label_sets(targets: list[int] | tuple[int, ...]) -> list[list[int]]:
@@ -278,8 +272,10 @@ def train_ensemble(
     (seed, round index), so the result is independent of n_jobs. In an
     undersampled bagged round, a label that is single-class in the round's
     bootstrap gets no link there; a label left without a link in every
-    round scores 0.0.
+    round scores 0.0. n_jobs below 1 raises ConfigError before any round.
     """
+    if n_jobs < 1:
+        raise ConfigError("n_jobs must be >= 1")
     stats = all_label_stats(ds)
     skipped = {
         s.label_index: int(ds.labels[0, s.label_index])
@@ -335,11 +331,7 @@ def predict_relevance_batch(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
     classifiers that target it; constant labels yield 0.0 or 1.0, and a
     label that no classifier targets yields 0.0.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.base_arity:
-        raise ArityMismatch(
-            f"expected {model.base_arity} features, got shape {X.shape}"
-        )
+    X = feature_rows(X, model.base_arity)
     votes = np.zeros((X.shape[0], model.q), dtype=np.float64)
     for chain in model.chains:
         for label, preds in predict_chain_batch(chain, X):

@@ -246,17 +246,21 @@ def _write_per_label_csv(path: Path, folds: dict[str, list[dict]]) -> None:
 
 
 def collect_rank_matrix(
-    result_paths: list[Path], metric: str
-) -> tuple[list[str], list[str], np.ndarray]:
-    """Build a methods x datasets matrix of overall macro values.
+    result_paths: list[Path], metrics: tuple[str, ...]
+) -> tuple[list[str], list[str], dict[str, np.ndarray]]:
+    """Build a methods x datasets matrix of overall macro values per metric.
 
-    Every results file must contain the same method set. Returns (methods,
-    dataset names, matrix).
+    Each results file is read and checked once, for every metric, and every
+    file must contain the same method set. Returns (methods, dataset names,
+    {metric: matrix}).
     """
     if not result_paths:
         raise ConfigError("no result files given")
-    if metric not in METRIC_KEYS:
-        raise ConfigError(f"unknown metric {metric!r}; valid: {METRIC_KEYS}")
+    for i, metric in enumerate(metrics):
+        if metric not in METRIC_KEYS:
+            raise ConfigError(f"unknown metric {metric!r}; valid: {METRIC_KEYS}")
+        if metric in metrics[:i]:
+            raise ConfigError(f"metric {metric!r} is given more than once")
     methods: list[str] | None = None
     names = []
     columns = []
@@ -270,7 +274,8 @@ def collect_rank_matrix(
         try:
             file_methods = sorted(payload["methods"].keys())
             name = payload["dataset"].get("relation")
-            values = [payload["methods"][m]["overall"]["macro"][metric] for m in file_methods]
+            macros = {m: payload["methods"][m]["overall"]["macro"] for m in file_methods}
+            cells = [(metric, m, macros[m][metric]) for metric in metrics for m in file_methods]
         except (AttributeError, KeyError, TypeError) as exc:
             raise DataError(f"{path}: malformed results file: {exc!r}") from exc
         if methods is None:
@@ -278,7 +283,7 @@ def collect_rank_matrix(
         elif methods != file_methods:
             raise ConfigError(f"{path}: method set differs from earlier files")
         names.append(name or Path(path).stem)
-        for m, value in zip(methods, values):
+        for metric, m, value in cells:
             if value is None:
                 raise ConfigError(f"{path}: macro {metric} undefined for {m}")
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -286,9 +291,9 @@ def collect_rank_matrix(
             # False for NaN, infinities and integers past the float range.
             if not abs(value) <= sys.float_info.max:
                 raise DataError(f"{path}: macro {metric} for {m} is not a finite float: {value!r}")
-        columns.append(values)
+        columns.append([value for _, _, value in cells])
     assert methods is not None
-    matrix = np.array(columns, dtype=np.float64).T
     if len(methods) < 2:
         raise ConfigError("ranking needs at least two methods")
-    return methods, names, matrix
+    cube = np.array(columns, dtype=np.float64).reshape(len(columns), len(metrics), len(methods))
+    return methods, names, {metric: cube[:, i].T for i, metric in enumerate(metrics)}

@@ -456,13 +456,17 @@ def fit_tree(
     )
 
 
+def feature_rows(X: np.ndarray, n_features: int) -> np.ndarray:
+    """X as float64 rows of n_features columns; ArityMismatch otherwise."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ArityMismatch(f"expected {n_features} features, got shape {X.shape}")
+    return X
+
+
 def predict_batch(model: BinaryModel, X: np.ndarray) -> np.ndarray:
     """Predict a 0/1 vector for every row of X."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise ArityMismatch(
-            f"expected {model.n_features} features, got shape {X.shape}"
-        )
+    X = feature_rows(X, model.n_features)
     feature, threshold, child, value = model._route
     rows = np.arange(X.shape[0])
     # Every row walks model.depth steps; one that reaches a leaf early stays.

@@ -138,9 +138,13 @@ def test_partial_chain_votes_subset():
 def test_chain_arity_mismatch():
     ds = make_dataset(20, [0.5], seed=10)
     chain = train_chain(ds, ChainSpec((0,)), UNLIMITED, _link_streams(RngStream(5), 1))
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(
+        ArityMismatch, match=rf"^expected {ds.d} features, got shape \(1, {ds.d + 1}\)$"
+    ):
         predict_chain_batch(chain, np.zeros((1, ds.d + 1)))
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(
+        ArityMismatch, match=rf"^expected {ds.d} features, got shape \(3, {ds.d + 2}\)$"
+    ):
         predict_chain_batch(chain, np.zeros((3, ds.d + 2)))
 
 

@@ -614,6 +614,32 @@ def test_rank_over_two_datasets(runner, tmp_path):
     assert sum(ranks) == pytest.approx(3.0)  # 1.5+1.5 or 1+2
 
 
+def test_rank_reads_each_results_file_once(runner, tmp_path, monkeypatch):
+    for name, seed in (("alpha", 1), ("beta", 2)):
+        ds = make_dataset(50, [0.25, 0.5], seed=seed, relation=name)
+        arff, xml = write_dataset_files(ds, tmp_path)
+        assert _run_cv(runner, arff, xml, tmp_path / name).exit_code == 0
+    single = {}
+    for metric in METRIC_KEYS:
+        result = runner.invoke(main, ["rank", "--input-dir", str(tmp_path), "--metric", metric])
+        assert result.exit_code == 0, result.output
+        single[metric] = [line.split(",")[1] for line in result.stdout.splitlines()]
+    reads = []
+    read_text = Path.read_text
+
+    def counted(self, *args, **kwargs):
+        reads.append(self.parent.name)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    result = runner.invoke(main, ["rank", "--input-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert sorted(reads) == ["alpha", "beta"]
+    # All five metrics from one read give the columns of five one-metric runs.
+    columns = list(zip(*(line.split(",") for line in result.stdout.splitlines())))
+    assert {column[0]: list(column) for column in columns[1:]} == single
+
+
 def _results_file(runner, tmp_path) -> Path:
     ds = make_dataset(50, [0.25, 0.5], seed=1, relation="alpha")
     arff, xml = write_dataset_files(ds, tmp_path)

@@ -56,7 +56,6 @@ def test_budget_worked_example():
     budget = compute_classifier_budget([10, 20, 30], EnsembleSpec(method="ECCRU2"))
     assert budget.raw == (20, 10, 6)
     assert budget.targets == (20, 10, 6)
-    assert budget.total_minority == 60
 
 
 def test_budget_uniform_case():
@@ -127,6 +126,23 @@ def test_budget_eccru3_bounds(counts, c, theta_min, theta_max):
     budget = compute_classifier_budget(counts, spec)
     for target in budget.targets:
         assert c * theta_min - 1e-6 <= target <= c * theta_max + 1e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(1, 500), min_size=2, max_size=12),
+    st.integers(1, 20),
+    st.floats(1.0, 12.0),
+)
+def test_budget_eccru2_is_eccru3_at_the_lowest_floor(counts, c, theta_max):
+    # One cap and one clip: ECCRU2's floor of one classifier is ECCRU3's
+    # c * theta_min at theta_min = 1/c.
+    eccru2 = EnsembleSpec(method="ECCRU2", c=c, theta_max=theta_max)
+    eccru3 = EnsembleSpec(method="ECCRU3", c=c, theta_max=theta_max, theta_min=1.0 / c)
+    assert (
+        compute_classifier_budget(counts, eccru2).targets
+        == compute_classifier_budget(counts, eccru3).targets
+    )
 
 
 def test_chain_label_sets_worked_example():
@@ -422,6 +438,15 @@ def test_parallel_training_matches_sequential():
     )
 
 
+@pytest.mark.parametrize("n_jobs", [0, -1])
+@pytest.mark.parametrize("method, c", [("ECC", 1), ("BR", 1), ("ECCRU3", 3)])
+def test_train_ensemble_refuses_fewer_than_one_job(method, c, n_jobs):
+    # ECC with c=1 trains one round; BR on two labels and ECCRU3 train several.
+    ds = make_dataset(40, [0.3, 0.5], seed=12)
+    with pytest.raises(ConfigError, match=r"^n_jobs must be >= 1$"):
+        train_ensemble(ds, EnsembleSpec(method=method, c=c), n_jobs=n_jobs)
+
+
 def test_training_deterministic_across_runs():
     ds = make_dataset(50, [0.2, 0.5], seed=12)
     for method in ("BRUS", "EBRUS", "ECC", "ECCRU", "ECCRU2", "ECCRU3"):
@@ -450,9 +475,13 @@ def test_ecc_single_label_equals_bagged_trees():
 def test_relevance_arity_checks():
     ds = make_dataset(30, [0.5], seed=16)
     model = train_ensemble(ds, EnsembleSpec(method="BR"))
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(
+        ArityMismatch, match=rf"^expected {ds.d} features, got shape \(1, {ds.d + 1}\)$"
+    ):
         predict_relevance_batch(model, np.zeros((1, ds.d + 1)))
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(
+        ArityMismatch, match=rf"^expected {ds.d} features, got shape \(2, {ds.d + 1}\)$"
+    ):
         predict_relevance_batch(model, np.zeros((2, ds.d + 1)))
 
 

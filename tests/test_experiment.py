@@ -337,13 +337,13 @@ def test_run_cv_tree_spec_respected(files, tmp_path):
 
 def test_collect_rank_matrix_errors(tmp_path):
     with pytest.raises(ConfigError):
-        collect_rank_matrix([], "balanced_accuracy")
+        collect_rank_matrix([], ("balanced_accuracy",))
     garbage = tmp_path / "x.json"
     garbage.write_text(json.dumps({"schema": "nope"}))
     with pytest.raises(ConfigError):
-        collect_rank_matrix([garbage], "balanced_accuracy")
+        collect_rank_matrix([garbage], ("balanced_accuracy",))
     with pytest.raises(ConfigError):
-        collect_rank_matrix([garbage], "not_a_metric")
+        collect_rank_matrix([garbage], ("not_a_metric",))
 
 
 def test_all_methods_mid_scale_integration(tmp_path):

@@ -67,9 +67,9 @@ def test_xor_shattered():
 
 def test_arity_mismatch():
     model = fit_tree(_bd([0, 1], [0, 1]), UNLIMITED)
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(ArityMismatch, match=r"^expected 1 features, got shape \(1, 2\)$"):
         predict_batch(model, np.array([[0.0, 1.0]]))
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(ArityMismatch, match=r"^expected 1 features, got shape \(3, 2\)$"):
         predict_batch(model, np.zeros((3, 2)))
 
 
