@@ -1,7 +1,8 @@
 """Batch command line: dataset stats, cross-validated runs, sweeps, ranks.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 on data errors. Any
-failure writes a one-line JSON error record to stderr.
+Exit codes: 0 on success, 2 on configuration errors, 3 on data errors.
+Configuration, file and data errors write a one-line JSON error record to
+stderr.
 """
 
 from __future__ import annotations
@@ -25,31 +26,38 @@ from .experiment import ExperimentConfig, collect_rank_matrix, run_cv, write_jso
 from .learner import TreeSpec
 from .metrics import METRIC_KEYS, average_ranks
 from .sampling import RngStream
-from .simulate import sweep, sweep_to_csv
+from .simulate import ExploitationQuery, sweep, sweep_to_csv
 
 CONFIG_EXIT = 2
 DATA_EXIT = 3
 
 
-def _fail(code: int, exc: BaseException) -> None:
-    record = {"error": type(exc).__name__, "message": str(exc)}
-    click.echo(json.dumps(record), err=True)
-    sys.exit(code)
+class _Commands(click.Group):
+    """The command group: it maps a command's configuration, file and data
+    errors to an exit code and a JSON record on stderr."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ChainbalanceError, FileExistsError, FileNotFoundError, IsADirectoryError,
+                NotADirectoryError, PermissionError) as exc:
+            record = {"error": type(exc).__name__, "message": str(exc)}
+            click.echo(json.dumps(record), err=True)
+            sys.exit(CONFIG_EXIT if isinstance(exc, ConfigError) else DATA_EXIT)
 
 
-def _guard(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except ConfigError as exc:
-        _fail(CONFIG_EXIT, exc)
-    except (FileExistsError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, PermissionError) as exc:
-        _fail(DATA_EXIT, exc)
-    except ChainbalanceError as exc:
-        _fail(DATA_EXIT, exc)
+def _write_csv(out_path: Path | None, write, what: str) -> None:
+    """Call write on stdout, or on out_path opened for CSV and then echo what
+    it wrote there. sys.stdout is looked up per call: CliRunner swaps it."""
+    if out_path is None:
+        write(sys.stdout)
+        return
+    with open(out_path, "w", newline="") as handle:
+        write(handle)
+    click.echo(f"wrote {what} to {out_path}")
 
 
-@click.group()
+@click.group(cls=_Commands)
 def main() -> None:
     """Multi-label chain ensembles with undersampling, plus evaluation tools."""
 
@@ -63,42 +71,36 @@ def main() -> None:
 def stats(arff_path: Path, xml_path: Path, feature_keep_fraction: float | None,
           json_path: Path | None) -> None:
     """Dataset sizes, label cardinality, and per-label imbalance ratios."""
-
-    def body() -> None:
-        ds = load_mulan_files(arff_path, xml_path)
-        if feature_keep_fraction is not None:
-            ds = reduce_features_by_frequency(ds, feature_keep_fraction)
-        summary = summarize(ds)
-        per_label = all_label_stats(ds)
+    ds = load_mulan_files(arff_path, xml_path)
+    if feature_keep_fraction is not None:
+        ds = reduce_features_by_frequency(ds, feature_keep_fraction)
+    summary = summarize(ds)
+    per_label = all_label_stats(ds)
+    click.echo(f"relation={ds.relation} n={summary.n} d={summary.d} q={summary.q}")
+    click.echo(
+        f"LC={summary.label_cardinality:.3f} "
+        f"MeanImR={summary.mean_imr:.3f} "
+        f"MaxImR={summary.max_imr:.3f} "
+        f"CVImR={summary.cv_imr:.3f} "
+        f"degenerate_labels={summary.degenerate_labels}"
+    )
+    click.echo("label_index,name,minority,majority,minority_class,imr")
+    for stat in per_label:
+        imr = "" if stat.imr is None else f"{stat.imr:.6g}"
         click.echo(
-            f"relation={ds.relation} n={summary.n} d={summary.d} q={summary.q}"
+            f"{stat.label_index},{ds.label_names[stat.label_index]},"
+            f"{stat.minority_count},{stat.majority_count},"
+            f"{stat.minority_class},{imr}"
         )
-        click.echo(
-            f"LC={summary.label_cardinality:.3f} "
-            f"MeanImR={summary.mean_imr:.3f} "
-            f"MaxImR={summary.max_imr:.3f} "
-            f"CVImR={summary.cv_imr:.3f} "
-            f"degenerate_labels={summary.degenerate_labels}"
-        )
-        click.echo("label_index,name,minority,majority,minority_class,imr")
-        for stat in per_label:
-            imr = "" if stat.imr is None else f"{stat.imr:.6g}"
-            click.echo(
-                f"{stat.label_index},{ds.label_names[stat.label_index]},"
-                f"{stat.minority_count},{stat.majority_count},"
-                f"{stat.minority_class},{imr}"
-            )
-        if json_path is not None:
-            payload = {
-                "relation": ds.relation,
-                "summary": asdict(summary),
-                "per_label": [
-                    asdict(s) | {"name": ds.label_names[s.label_index]} for s in per_label
-                ],
-            }
-            write_json(json_path, payload, indent=2, sort_keys=True)
-
-    _guard(body)
+    if json_path is not None:
+        payload = {
+            "relation": ds.relation,
+            "summary": asdict(summary),
+            "per_label": [
+                asdict(s) | {"name": ds.label_names[s.label_index]} for s in per_label
+            ],
+        }
+        write_json(json_path, payload, indent=2, sort_keys=True)
 
 
 def _typed(key: str, value, kind: type, optional: bool = False):
@@ -159,116 +161,106 @@ def _settings(ctx: click.Context, file_values: dict) -> dict:
 @click.option("--xml", default=None)
 @click.option("--out-dir", default="chainbalance-results", show_default=True)
 @click.option("--methods", default=None, help="Comma-separated method names.")
-@click.option("--c", "c", type=int, default=10, show_default=True)
-@click.option("--theta-max", type=float, default=10.0, show_default=True)
-@click.option("--theta-min", type=float, default=None,
+@click.option("--c", "c", type=int, default=ExperimentConfig.c, show_default=True)
+@click.option("--theta-max", type=float, default=ExperimentConfig.theta_max, show_default=True)
+@click.option("--theta-min", type=float, default=ExperimentConfig.theta_min,
               help="ECCRU3's floor on each label's classifier count, as a fraction "
                    "of c; ECCRU3 uses 0.5 when unset.")
-@click.option("--tree-max-depth", type=int, default=None)
-@click.option("--tree-min-samples-leaf", type=int, default=2, show_default=True)
-@click.option("--repeats", type=int, default=5, show_default=True)
-@click.option("--folds", type=int, default=2, show_default=True)
-@click.option("--feature-keep-fraction", type=float, default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--n-jobs", type=int, default=1, show_default=True)
+@click.option("--tree-max-depth", type=int, default=TreeSpec.max_depth)
+@click.option("--tree-min-samples-leaf", type=int, default=TreeSpec.min_samples_leaf,
+              show_default=True)
+@click.option("--repeats", type=int, default=ExperimentConfig.repeats, show_default=True)
+@click.option("--folds", type=int, default=ExperimentConfig.folds, show_default=True)
+@click.option("--feature-keep-fraction", type=float,
+              default=ExperimentConfig.feature_keep_fraction)
+@click.option("--seed", type=int, default=ExperimentConfig.seed, show_default=True)
+@click.option("--n-jobs", type=int, default=ExperimentConfig.n_jobs, show_default=True)
 @click.pass_context
 def cv(ctx: click.Context, config_path: Path | None, **_: object) -> None:
     """Cross-validated comparison of the configured methods on one dataset."""
+    file_values: dict = {}
+    if config_path is not None:
+        data = config_path.read_bytes()
+        try:
+            file_values = json.loads(data.decode("utf-8-sig"))
+        except UnicodeDecodeError as exc:
+            # exc.object is the file after any byte-order mark.
+            at = exc.start + len(data) - len(exc.object)
+            raise ConfigError(
+                f"bad config file: not UTF-8: byte 0x{data[at]:02x} at offset {at}"
+            ) from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"bad config file: {exc}") from exc
+        if not isinstance(file_values, dict):
+            raise ConfigError("config file must hold a JSON object")
+    values = _settings(ctx, file_values)
 
-    def body() -> None:
-        file_values: dict = {}
-        if config_path is not None:
-            data = config_path.read_bytes()
-            try:
-                file_values = json.loads(data.decode("utf-8-sig"))
-            except UnicodeDecodeError as exc:
-                # exc.object is the file after any byte-order mark.
-                at = exc.start + len(data) - len(exc.object)
-                raise ConfigError(
-                    f"bad config file: not UTF-8: byte 0x{data[at]:02x} at offset {at}"
-                ) from exc
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"bad config file: {exc}") from exc
-            if not isinstance(file_values, dict):
-                raise ConfigError("config file must hold a JSON object")
-        values = _settings(ctx, file_values)
+    def get(key: str, kind: type, optional: bool = False):
+        # click types the flags, so a wrong type comes from the file:
+        # name the file's key.
+        return _typed(_file_key(key), values[key], kind, optional)
 
-        def get(key: str, kind: type, optional: bool = False):
-            # click types the flags, so a wrong type comes from the file:
-            # name the file's key.
-            return _typed(_file_key(key), values[key], kind, optional)
-
-        arff = get("arff", Path, optional=True)
-        xml = get("xml", Path, optional=True)
-        methods = values["methods"]
-        if arff is None or xml is None or methods is None:
-            raise ConfigError("arff, xml, and methods are required")
-        if isinstance(methods, str):
-            methods = [m.strip() for m in methods.split(",") if m.strip()]
-        elif not (isinstance(methods, list) and all(isinstance(m, str) for m in methods)):
-            raise ConfigError(f"methods must be a string or a list of strings, got {methods!r}")
-        config = ExperimentConfig(
-            arff_path=arff,
-            xml_path=xml,
-            out_dir=get("out_dir", Path),
-            methods=tuple(methods),
-            c=get("c", int),
-            theta_max=get("theta_max", float),
-            theta_min=get("theta_min", float, optional=True),
-            tree=TreeSpec(
-                max_depth=get("tree_max_depth", int, optional=True),
-                min_samples_leaf=get("tree_min_samples_leaf", int),
-            ),
-            repeats=get("repeats", int),
-            folds=get("folds", int),
-            feature_keep_fraction=get("feature_keep_fraction", float, optional=True),
-            seed=get("seed", int),
-            n_jobs=get("n_jobs", int),
+    arff = get("arff", Path, optional=True)
+    xml = get("xml", Path, optional=True)
+    methods = values["methods"]
+    if arff is None or xml is None or methods is None:
+        raise ConfigError("arff, xml, and methods are required")
+    if isinstance(methods, str):
+        methods = [m.strip() for m in methods.split(",") if m.strip()]
+    elif not (isinstance(methods, list) and all(isinstance(m, str) for m in methods)):
+        raise ConfigError(f"methods must be a string or a list of strings, got {methods!r}")
+    config = ExperimentConfig(
+        arff_path=arff,
+        xml_path=xml,
+        out_dir=get("out_dir", Path),
+        methods=tuple(methods),
+        c=get("c", int),
+        theta_max=get("theta_max", float),
+        theta_min=get("theta_min", float, optional=True),
+        tree=TreeSpec(
+            max_depth=get("tree_max_depth", int, optional=True),
+            min_samples_leaf=get("tree_min_samples_leaf", int),
+        ),
+        repeats=get("repeats", int),
+        folds=get("folds", int),
+        feature_keep_fraction=get("feature_keep_fraction", float, optional=True),
+        seed=get("seed", int),
+        n_jobs=get("n_jobs", int),
+    )
+    payload = run_cv(config)
+    for method in config.methods:
+        macro = payload["methods"][method]["overall"]["macro"]
+        parts = " ".join(
+            f"{key}={'NA' if macro[key] is None else f'{macro[key]:.4f}'}"
+            for key in METRIC_KEYS
         )
-        payload = run_cv(config)
-        for method in config.methods:
-            macro = payload["methods"][method]["overall"]["macro"]
-            parts = " ".join(
-                f"{key}={'NA' if macro[key] is None else f'{macro[key]:.4f}'}"
-                for key in METRIC_KEYS
-            )
-            click.echo(f"{method}: {parts}")
-        click.echo(f"results written to {config.out_dir}")
-
-    _guard(body)
+        click.echo(f"{method}: {parts}")
+    click.echo(f"results written to {config.out_dir}")
 
 
 @main.command()
 @click.option("--n", type=int, default=1000, show_default=True)
-@click.option("--c", "c", type=int, default=10, show_default=True)
+@click.option("--c", "c", type=int, default=ExploitationQuery.chains, show_default=True)
 @click.option("--m-start", type=int, default=20, show_default=True)
 @click.option("--m-end", type=int, default=400, show_default=True)
 @click.option("--m-step", type=int, default=20, show_default=True)
-@click.option("--runs", type=int, default=10_000, show_default=True)
+@click.option("--runs", type=int, default=ExploitationQuery.runs, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(path_type=Path), default=None,
               help="CSV destination; stdout when omitted.")
 def simulate(n: int, c: int, m_start: int, m_end: int, m_step: int, runs: int,
              seed: int, out_path: Path | None) -> None:
     """Majority-exploitation probability sweep: closed form vs Monte Carlo."""
-
-    def body() -> None:
-        if m_start < 1 or m_step < 1 or m_end < m_start:
-            raise ConfigError("need 1 <= m-start <= m-end and m-step >= 1")
-        rows = sweep(
-            range(m_start, m_end + 1, m_step),
-            n=n,
-            c=c,
-            runs=runs,
-            rng=RngStream(seed),
-        )
-        if out_path is None:
-            sweep_to_csv(rows, sys.stdout)
-        else:
-            sweep_to_csv(rows, out_path)
-            click.echo(f"wrote {len(rows)} rows to {out_path}")
-
-    _guard(body)
+    if m_start < 1 or m_step < 1 or m_end < m_start:
+        raise ConfigError("need 1 <= m-start <= m-end and m-step >= 1")
+    rows = sweep(
+        range(m_start, m_end + 1, m_step),
+        n=n,
+        c=c,
+        runs=runs,
+        rng=RngStream(seed),
+    )
+    _write_csv(out_path, lambda handle: sweep_to_csv(rows, handle), f"{len(rows)} rows")
 
 
 @main.command()
@@ -283,33 +275,16 @@ def simulate(n: int, c: int, m_start: int, m_end: int, m_step: int, runs: int,
 def rank(input_dir: Path | None, result_files: tuple[Path, ...],
          metrics: tuple[str, ...], out_path: Path | None) -> None:
     """Average ranks of methods across several cv result files."""
-
-    def body() -> None:
-        paths = list(result_files)
-        if input_dir is not None:
-            paths.extend(sorted(input_dir.rglob("cv_results.json")))
-        if not paths:
-            raise ConfigError("no result files found")
-        # A file read twice would be a second dataset column, counted twice.
-        resolved = [path.resolve() for path in paths]
-        for i, path in enumerate(paths):
-            if resolved[i] in resolved[:i]:
-                raise ConfigError(f"results file {path} is given more than once")
-        chosen = metrics or METRIC_KEYS
-        methods, _, matrices = collect_rank_matrix(paths, chosen)
-        ranks = [average_ranks(matrices[metric], higher_is_better=True) for metric in chosen]
-        lines = [["method", *chosen]]
-        for i, method in enumerate(methods):
-            lines.append([method, *[f"{column[i]:.4f}" for column in ranks]])
-        if out_path is None:
-            writer = csv.writer(sys.stdout)
-            writer.writerows(lines)
-        else:
-            with open(out_path, "w", newline="") as handle:
-                csv.writer(handle).writerows(lines)
-            click.echo(f"wrote rank table to {out_path}")
-
-    _guard(body)
+    paths = list(result_files)
+    if input_dir is not None:
+        paths.extend(sorted(input_dir.rglob("cv_results.json")))
+    chosen = metrics or METRIC_KEYS
+    methods, matrices = collect_rank_matrix(paths, chosen)
+    ranks = [average_ranks(matrices[metric], higher_is_better=True) for metric in chosen]
+    lines = [["method", *chosen]]
+    for i, method in enumerate(methods):
+        lines.append([method, *[f"{column[i]:.4f}" for column in ranks]])
+    _write_csv(out_path, lambda handle: csv.writer(handle).writerows(lines), "rank table")
 
 
 if __name__ == "__main__":

@@ -247,22 +247,28 @@ def _write_per_label_csv(path: Path, folds: dict[str, list[dict]]) -> None:
 
 def collect_rank_matrix(
     result_paths: list[Path], metrics: tuple[str, ...]
-) -> tuple[list[str], list[str], dict[str, np.ndarray]]:
+) -> tuple[list[str], dict[str, np.ndarray]]:
     """Build a methods x datasets matrix of overall macro values per metric.
 
-    Each results file is read and checked once, for every metric, and every
-    file must contain the same method set. Returns (methods, dataset names,
-    {metric: matrix}).
+    Every file must hold the same method set and a dataset of its own,
+    told apart by the whole "dataset" record. The paths and metrics are
+    checked before any file is read; then each file is read and checked
+    once, for every metric. Returns (methods, {metric: matrix}).
     """
     if not result_paths:
-        raise ConfigError("no result files given")
+        raise ConfigError("no result files found")
+    # A file read twice would be a second dataset column, counted twice.
+    resolved = [Path(path).resolve() for path in result_paths]
+    for i, path in enumerate(result_paths):
+        if resolved[i] in resolved[:i]:
+            raise ConfigError(f"results file {path} is given more than once")
     for i, metric in enumerate(metrics):
         if metric not in METRIC_KEYS:
             raise ConfigError(f"unknown metric {metric!r}; valid: {METRIC_KEYS}")
         if metric in metrics[:i]:
             raise ConfigError(f"metric {metric!r} is given more than once")
     methods: list[str] | None = None
-    names = []
+    first_file = {}  # dataset record -> the file it was first read from
     columns = []
     for path in result_paths:
         try:
@@ -273,7 +279,8 @@ def collect_rank_matrix(
             raise ConfigError(f"{path}: unsupported results schema")
         try:
             file_methods = sorted(payload["methods"].keys())
-            name = payload["dataset"].get("relation")
+            # items() refuses a record that is not an object.
+            dataset = json.dumps(dict(sorted(payload["dataset"].items())))
             macros = {m: payload["methods"][m]["overall"]["macro"] for m in file_methods}
             cells = [(metric, m, macros[m][metric]) for metric in metrics for m in file_methods]
         except (AttributeError, KeyError, TypeError) as exc:
@@ -282,7 +289,11 @@ def collect_rank_matrix(
             methods = file_methods
         elif methods != file_methods:
             raise ConfigError(f"{path}: method set differs from earlier files")
-        names.append(name or Path(path).stem)
+        if dataset in first_file:
+            raise ConfigError(
+                f"{path}: dataset {dataset} is already ranked from {first_file[dataset]}"
+            )
+        first_file[dataset] = path
         for metric, m, value in cells:
             if value is None:
                 raise ConfigError(f"{path}: macro {metric} undefined for {m}")
@@ -296,4 +307,4 @@ def collect_rank_matrix(
     if len(methods) < 2:
         raise ConfigError("ranking needs at least two methods")
     cube = np.array(columns, dtype=np.float64).reshape(len(columns), len(metrics), len(methods))
-    return methods, names, {metric: cube[:, i].T for i, metric in enumerate(metrics)}
+    return methods, {metric: cube[:, i].T for i, metric in enumerate(metrics)}

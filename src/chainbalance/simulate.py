@@ -10,8 +10,7 @@ per-chain subset membership directly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import astuple, dataclass, fields
 from typing import TextIO
 
 from .errors import ConfigError
@@ -94,17 +93,8 @@ def sweep(
     return rows
 
 
-def sweep_to_csv(rows: list[SweepRow], sink: str | Path | TextIO) -> None:
-    def write(handle: TextIO) -> None:
-        writer = csv.writer(handle)
-        writer.writerow(["minority", "majority", "imbalance_ratio", "p_closed", "p_mc"])
-        for row in rows:
-            writer.writerow(
-                [row.minority, row.majority, row.imbalance_ratio, row.p_closed, row.p_mc]
-            )
-
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", newline="") as handle:
-            write(handle)
-    else:
-        write(sink)
+def sweep_to_csv(rows: list[SweepRow], handle: TextIO) -> None:
+    """Write rows to an open handle as CSV, one column per SweepRow field."""
+    writer = csv.writer(handle)
+    writer.writerow([f.name for f in fields(SweepRow)])
+    writer.writerows(astuple(row) for row in rows)

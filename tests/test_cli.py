@@ -677,6 +677,52 @@ def test_rank_refuses_a_repeated_metric(runner, tmp_path):
     assert "'auc_roc' is given more than once" in record["message"]
 
 
+def test_rank_refuses_a_dataset_given_twice(runner, tmp_path):
+    # Two cv runs of one dataset would be two columns of the rank table.
+    ds = make_dataset(50, [0.25, 0.5], seed=1, relation="alpha")
+    arff, xml = write_dataset_files(ds, tmp_path)
+    for seed in ("11", "12"):
+        result = _run_cv(runner, arff, xml, tmp_path / f"seed{seed}", ["--seed", seed])
+        assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["rank", "--input-dir", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    record = json.loads(result.stderr.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError"
+    message = record["message"]
+    assert '"relation": "alpha"' in message and '"n": 50' in message
+    assert all(str(tmp_path / d / "cv_results.json") in message for d in ("seed11", "seed12"))
+
+
+def test_rank_takes_two_datasets_of_one_relation_name(runner, tmp_path):
+    # The whole dataset record tells datasets apart, not the relation alone.
+    for n in (50, 60):
+        (tmp_path / f"n{n}").mkdir()
+        ds = make_dataset(n, [0.25, 0.5], seed=1)
+        arff, xml = write_dataset_files(ds, tmp_path / f"n{n}")
+        assert _run_cv(runner, arff, xml, tmp_path / f"n{n}" / "out").exit_code == 0
+    result = runner.invoke(main, ["rank", "--input-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert len(result.stdout.splitlines()) == 3
+
+
+@pytest.mark.parametrize("command", ["stats", "simulate", "rank"])
+def test_output_path_in_a_missing_directory_exits_3(runner, dataset_files, tmp_path, command):
+    target = str(tmp_path / "missing" / "out")
+    arff, xml = dataset_files
+    if command == "stats":
+        args = ["stats", "--arff", arff, "--xml", xml, "--json", target]
+    elif command == "simulate":
+        args = ["simulate", "--runs", "10", "--m-end", "40", "--out", target]
+    else:
+        assert _run_cv(runner, arff, xml, tmp_path / "run").exit_code == 0
+        args = ["rank", "--input-dir", str(tmp_path / "run"), "--out", target]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    record = json.loads(result.stderr.strip().splitlines()[-1])
+    assert record["error"] == "FileNotFoundError"
+    assert target in record["message"]
+
+
 def test_rank_no_inputs_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["rank", "--input-dir", str(tmp_path)])
     assert result.exit_code == 2
