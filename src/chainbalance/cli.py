@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -100,7 +101,7 @@ def stats(arff_path: Path, xml_path: Path, feature_keep_fraction: float | None,
                 asdict(s) | {"name": ds.label_names[s.label_index]} for s in per_label
             ],
         }
-        write_json(json_path, payload, indent=2, sort_keys=True)
+        write_json(json_path, payload, sort_keys=True)
 
 
 def _typed(key: str, value, kind: type, optional: bool = False):
@@ -277,10 +278,12 @@ def rank(input_dir: Path | None, result_files: tuple[Path, ...],
     """Average ranks of methods across several cv result files."""
     paths = list(result_files)
     if input_dir is not None:
+        # rglob would read a missing directory, or a file, as an empty one.
+        os.scandir(input_dir).close()
         paths.extend(sorted(input_dir.rglob("cv_results.json")))
     chosen = metrics or METRIC_KEYS
     methods, matrices = collect_rank_matrix(paths, chosen)
-    ranks = [average_ranks(matrices[metric], higher_is_better=True) for metric in chosen]
+    ranks = [average_ranks(matrices[metric]) for metric in chosen]
     lines = [["method", *chosen]]
     for i, method in enumerate(methods):
         lines.append([method, *[f"{column[i]:.4f}" for column in ranks]])

@@ -206,7 +206,7 @@ def run_cv(config: ExperimentConfig) -> dict:
     }
 
     writing = time.perf_counter()
-    write_json(out_dir / "cv_results.json", payload, indent=2, sort_keys=True)
+    write_json(out_dir / "cv_results.json", payload, sort_keys=True)
     _write_per_label_csv(out_dir / "per_label.csv", folds)
     timings = {
         "load_seconds": loaded - started,
@@ -215,21 +215,20 @@ def run_cv(config: ExperimentConfig) -> dict:
         "write_seconds": time.perf_counter() - writing,
         "methods": {method: [t for _, t in done] for method, done in per_method.items()},
     }
-    write_json(out_dir / "timings.json", timings, indent=2)
+    write_json(out_dir / "timings.json", timings)
     return payload
 
 
-def write_json(path: Path, obj, *, indent: int | None = None,
-               sort_keys: bool = False) -> None:
-    """Write the bytes of json.dumps(obj, indent=indent, sort_keys=sort_keys)
-    plus a newline to path.
+def write_json(path: Path, obj, *, sort_keys: bool = False) -> None:
+    """Write the bytes of json.dumps(obj, indent=2, sort_keys=sort_keys) plus
+    a newline to path.
 
     The encoder writes into the open file as it goes. json.dumps with an
     indent runs the pure-Python encoder and holds every chunk and then their
     join, about five times the file.
     """
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, indent=indent, sort_keys=sort_keys)
+        json.dump(obj, handle, indent=2, sort_keys=sort_keys)
         handle.write("\n")
 
 

@@ -19,10 +19,7 @@ from .errors import LengthMismatch
 THRESHOLD_GRID: tuple[float, ...] = tuple(i / 20 for i in range(21))
 _GRID = np.array(THRESHOLD_GRID)
 
-F_MEASURE = "F"
-G_MEAN = "G"
-BALANCED_ACCURACY = "B"
-POINT_METRICS = (F_MEASURE, G_MEAN, BALANCED_ACCURACY)
+POINT_METRICS = ("F", "G", "B")
 
 # Report keys for the five metrics, in presentation order; the first three
 # are the keys of POINT_METRICS, in order.
@@ -60,6 +57,17 @@ class BinaryConfusion:
         )
 
 
+def _objectives(tp: int, fp: int, tn: int, fn: int) -> tuple[float | None, ...]:
+    """F, G and B of one confusion in POINT_METRICS order; None if undefined."""
+    denom = 2 * tp + fp + fn
+    f = None if denom == 0 else 2 * tp / denom
+    if tp + fn == 0 or tn + fp == 0:
+        return f, None, None
+    tpr = tp / (tp + fn)
+    tnr = tn / (tn + fp)
+    return f, math.sqrt(tpr * tnr), (tpr + tnr) / 2
+
+
 def point_metric(conf: BinaryConfusion, kind: str) -> float | None:
     """F-measure, G-mean, or balanced accuracy from a confusion matrix.
 
@@ -69,39 +77,33 @@ def point_metric(conf: BinaryConfusion, kind: str) -> float | None:
     """
     if kind not in POINT_METRICS:
         raise ValueError(f"unknown point metric {kind!r}; valid: {POINT_METRICS}")
-    if kind == F_MEASURE:
-        denom = 2 * conf.tp + conf.fp + conf.fn
-        return None if denom == 0 else 2 * conf.tp / denom
-    tpr = conf.tp / (conf.tp + conf.fn) if conf.tp + conf.fn > 0 else None
-    tnr = conf.tn / (conf.tn + conf.fp) if conf.tn + conf.fp > 0 else None
-    if tpr is None or tnr is None:
-        return None
-    if kind == G_MEAN:
-        return math.sqrt(tpr * tnr)
-    return (tpr + tnr) / 2
-
-
-def _binary_truth(truth: np.ndarray) -> np.ndarray:
-    """truth as int8, checked before the cast, which would turn 0.5 and 256
-    into 0."""
-    truth = np.asarray(truth)
-    if not ((truth == 0) | (truth == 1)).all():
-        raise ValueError("truth must contain only 0/1 values")
-    return truth.astype(np.int8)
+    return _objectives(conf.tp, conf.fp, conf.tn, conf.fn)[POINT_METRICS.index(kind)]
 
 
 def _check_pair(scores: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scores as float64 and truth as int8, both flat. Truth is checked before
+    the cast, which would turn 0.5 and 256 into 0."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
-    truth = _binary_truth(truth).ravel()
+    truth = np.asarray(truth).ravel()
+    if not ((truth == 0) | (truth == 1)).all():
+        raise ValueError("truth must contain only 0/1 values")
     if scores.shape[0] != truth.shape[0]:
         raise LengthMismatch("scores and truth differ in length")
-    return scores, truth
+    if np.isnan(scores).any():
+        raise ValueError("scores must not be NaN")
+    return scores, truth.astype(np.int8)
 
 
 def _midranks(counts: np.ndarray) -> np.ndarray:
     """Ranks of ascending groups of tied values, given each group's size:
     a group gets the mean of the 1-based positions it spans."""
     return np.cumsum(counts) - counts + 1 + (counts - 1) / 2.0
+
+
+def _tie_blocks(scores: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each block of tied scores, ascending: its size and its positives."""
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    return counts, np.bincount(inverse, weights=truth)
 
 
 def auc_roc(scores: np.ndarray, truth: np.ndarray) -> float | None:
@@ -115,8 +117,9 @@ def auc_roc(scores: np.ndarray, truth: np.ndarray) -> float | None:
     neg = truth.shape[0] - pos
     if pos == 0 or neg == 0:
         return None
-    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    rank_sum = float(_midranks(counts)[inverse][truth == 1].sum())
+    counts, block_pos = _tie_blocks(scores, truth)
+    # Mid-ranks are multiples of 1/2, so this sum is exact below 2**53.
+    rank_sum = float((_midranks(counts) * block_pos).sum())
     u = rank_sum - pos * (pos + 1) / 2.0
     return u / (pos * neg)
 
@@ -131,8 +134,7 @@ def auc_pr(scores: np.ndarray, truth: np.ndarray) -> float | None:
     pos = int(truth.sum())
     if pos == 0:
         return None
-    values, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    pos_per_value = np.bincount(inverse, weights=truth, minlength=values.shape[0])
+    counts, pos_per_value = _tie_blocks(scores, truth)
     # Descending score order.
     block_pos = pos_per_value[::-1]
     block_n = counts[::-1].astype(np.float64)
@@ -171,16 +173,14 @@ def select_threshold(
     tps = np.count_nonzero(predicted & (truth == 1), axis=1)
     fps = np.count_nonzero(predicted, axis=1) - tps
     neg = truth.shape[0] - pos
-    confusions = [
-        BinaryConfusion(tp, fp, neg - fp, pos - tp)
-        for tp, fp in zip(tps.tolist(), fps.tolist())
+    objectives = [
+        _objectives(tp, fp, neg - fp, pos - tp) for tp, fp in zip(tps.tolist(), fps.tolist())
     ]
     choices = []
-    for kind in POINT_METRICS:
+    for column in zip(*objectives):
         best_t: float | None = None
         best_v = -1.0
-        for t, conf in zip(THRESHOLD_GRID, confusions):
-            value = point_metric(conf, kind)
+        for t, value in zip(THRESHOLD_GRID, column):
             if value is not None and value > best_v:
                 best_t, best_v = t, value
         choices.append(
@@ -195,8 +195,8 @@ def mean_defined(values: list[float | None]) -> float | None:
     return float(np.mean(defined)) if defined else None
 
 
-def average_ranks(results: np.ndarray, higher_is_better: bool = True) -> np.ndarray:
-    """Mean rank of each method across datasets (rank 1 = best, ties mid-ranked).
+def average_ranks(results: np.ndarray) -> np.ndarray:
+    """Mean rank of each method across datasets (rank 1 = highest, ties mid-ranked).
 
     results is a methods x datasets matrix with no missing cells.
     """
@@ -205,10 +205,9 @@ def average_ranks(results: np.ndarray, higher_is_better: bool = True) -> np.ndar
         raise ValueError("results must be a methods x datasets matrix")
     if np.isnan(results).any():
         raise ValueError("results must not contain missing cells")
-    keys = -results if higher_is_better else results
-    ranks = np.empty_like(keys)
-    for col, key in enumerate(keys.T):
-        _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
+    ranks = np.empty_like(results)
+    for col, column in enumerate(results.T):
+        _, inverse, counts = np.unique(-column, return_inverse=True, return_counts=True)
         ranks[:, col] = _midranks(counts)[inverse]
     return ranks.mean(axis=1)
 
@@ -268,8 +267,9 @@ def build_report(
     """
     train_scores = np.asarray(train_scores, dtype=np.float64)
     test_scores = np.asarray(test_scores, dtype=np.float64)
-    train_truth = _binary_truth(train_truth)
-    test_truth = _binary_truth(test_truth)
+    # Every column of truth and scores is checked by the metric functions.
+    train_truth = np.asarray(train_truth)
+    test_truth = np.asarray(test_truth)
     if train_scores.shape != train_truth.shape or test_scores.shape != test_truth.shape:
         raise LengthMismatch("scores and truth matrices differ in shape")
     if train_scores.shape[1] != test_scores.shape[1]:

@@ -57,31 +57,27 @@ class BinaryDataset:
     targets: np.ndarray
 
     def __post_init__(self) -> None:
-        self._settle(self.features, self.targets, checked=False)
-
-    @classmethod
-    def _of_checked(cls, features: np.ndarray, targets: np.ndarray) -> "BinaryDataset":
-        """A dataset whose features and targets come from an already
-        validated dataset, such as a chain's buffers, built without checking
-        again for NaN features or targets other than 0/1."""
-        bd = object.__new__(cls)
-        bd._settle(features, targets, checked=True)
-        return bd
-
-    def _settle(self, features, targets, checked: bool) -> None:
-        feats = np.asarray(features, dtype=np.float64)
-        targs = np.asarray(targets)
+        feats = np.asarray(self.features, dtype=np.float64)
+        targs = np.asarray(self.targets)
         if feats.ndim != 2 or targs.ndim != 1:
             raise ValueError("features must be 2-D and targets 1-D")
         if feats.shape[0] != targs.shape[0]:
             raise ValueError("features and targets disagree on row count")
-        if not checked and not ((targs == 0) | (targs == 1)).all():
+        if not ((targs == 0) | (targs == 1)).all():
             raise ValueError("targets must be 0/1")
-        if not checked and np.isnan(feats).any():
+        if np.isnan(feats).any():
             raise ValueError("features must not be NaN")
         targs = targs.astype(np.int8, copy=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "targets", targs)
+
+    @classmethod
+    def _of_checked(cls, features: np.ndarray, targets: np.ndarray) -> "BinaryDataset":
+        """A dataset of float64 features and int8 0/1 targets from a validated
+        one, such as a chain's buffers, built without checking them again."""
+        bd = object.__new__(cls)
+        vars(bd).update(features=features, targets=targets)
+        return bd
 
     @property
     def n(self) -> int:

@@ -92,6 +92,16 @@ def test_train_ccru_single_class_label_rejected():
         train_chain(ds, ChainSpec((0, 1)), UNLIMITED, _link_streams(RngStream(0), 2))
 
 
+@pytest.mark.parametrize("streams", [None, 2])
+def test_chain_label_outside_the_dataset_refused(streams):
+    ds = dataset_with_label_counts(40, [10, 15], seed=6)
+    if streams is not None:
+        streams = _link_streams(RngStream(0), streams)
+    with pytest.raises(ValueError) as caught:
+        train_chain(ds, ChainSpec((0, 2)), UNLIMITED, streams)
+    assert str(caught.value) == "chain references a label outside the dataset"
+
+
 @pytest.mark.parametrize("links", [1, 3])
 def test_train_ccru_needs_one_stream_per_link(links):
     ds = dataset_with_label_counts(40, [10, 15], seed=6)

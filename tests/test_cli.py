@@ -282,6 +282,22 @@ def test_cv_non_utf8_config_exits_2(runner, tmp_path):
     assert record["message"] == "bad config file: not UTF-8: byte 0xff at offset 15"
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [('{"methods": "BR",', "bad config file: Expecting property name enclosed in double "
+                          "quotes: line 1 column 18 (char 17)"),
+     ('["BR"]', "config file must hold a JSON object")],
+    ids=["not-json", "not-an-object"],
+)
+def test_cv_config_not_a_json_object_exits_2(runner, tmp_path, content, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(content)
+    result = runner.invoke(main, ["cv", "--config", str(config_path)])
+    assert result.exit_code == 2, result.output
+    record = json.loads(result.stderr.strip().splitlines()[-1])
+    assert record == {"error": "ConfigError", "message": message}
+
+
 def test_cv_config_with_utf8_bom_is_read(runner, dataset_files, tmp_path):
     # Editors that save UTF-8 with a byte-order mark write a valid config.
     arff, xml = dataset_files
@@ -726,6 +742,24 @@ def test_output_path_in_a_missing_directory_exits_3(runner, dataset_files, tmp_p
 def test_rank_no_inputs_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["rank", "--input-dir", str(tmp_path)])
     assert result.exit_code == 2
+    record = json.loads(result.stderr.strip().splitlines()[-1])
+    assert record == {"error": "ConfigError", "message": "no result files found"}
+
+
+@pytest.mark.parametrize(
+    "name, error, message",
+    [("no-such-dir", "FileNotFoundError", "[Errno 2] No such file or directory: '{}'"),
+     ("a-file", "NotADirectoryError", "[Errno 20] Not a directory: '{}'")],
+    ids=["missing", "a-file"],
+)
+def test_rank_input_dir_must_be_a_directory(runner, tmp_path, name, error, message):
+    # Not read as an empty directory, which exits 2.
+    (tmp_path / "a-file").write_text("not a directory\n")
+    input_dir = str(tmp_path / name)
+    result = runner.invoke(main, ["rank", "--input-dir", input_dir])
+    assert result.exit_code == 3, result.output
+    record = json.loads(result.stderr.strip().splitlines()[-1])
+    assert record == {"error": error, "message": message.format(input_dir)}
 
 
 @pytest.mark.parametrize(

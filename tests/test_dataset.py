@@ -471,12 +471,67 @@ def test_lines_split_and_number_as_splitlines(tmp_path, source, tail, message):
 
 
 def test_malformed_headers():
-    with pytest.raises(MalformedArff):
-        load_mulan("@attribute a numeric\n1.0\n", XML_L1)  # no @data
-    with pytest.raises(MalformedArff):
-        load_mulan("@relation r\n@attribute a widget\n@data\n1\n", XML_L1)
-    with pytest.raises(MalformedArff):
-        load_mulan("@relation r\n@data\n1\n", XML_L1)
+    cases = [
+        ("@relation r\n@attribute a numeric\n@attribute L1 {0,1}\n", "no @data section found"),
+        # A data row before any @data line is not a header line.
+        ("@attribute a numeric\n1.0\n", "line 2: unrecognized header line '1.0'"),
+        ("@relation r\n@attribute a widget\n@data\n1\n",
+         "line 2: unsupported attribute type 'widget' "
+         "(only numeric and nominal attributes are accepted)"),
+        ("@relation r\n@data\n1\n", "@data before any @attribute declaration"),
+    ]
+    for arff, message in cases:
+        with pytest.raises(MalformedArff) as caught:
+            load_mulan(arff, XML_L1)
+        assert str(caught.value) == message
+
+
+_HEAD = "@relation r\n@attribute a numeric\n@attribute L1 {0,1}\n@data\n"
+
+
+@pytest.mark.parametrize(
+    "arff, message",
+    [("@attribute\n@data\n", "line 1: empty @attribute declaration"),
+     ("@attribute 'a numeric\n@data\n", "line 1: unterminated attribute name"),
+     ("@attribute a\n@data\n", "line 1: attribute needs a name and a type"),
+     ("@attribute '' numeric\n@data\n", "line 1: empty attribute name"),
+     ("@attribute a {0,1\n@data\n", "line 1: unterminated nominal value list"),
+     ("@attribute a {}\n@data\n", "line 1: empty nominal value list"),
+     ("@attribute a {x,x}\n@data\n", "line 1: duplicate nominal values"),
+     ("@attribute a numeric\n@attribute a numeric\n@data\n",
+      "duplicate attribute names in header"),
+     (_HEAD, "empty @data section"),
+     (_HEAD + "{0 1.0, 1 1\n", "line 5: unterminated sparse row"),
+     (_HEAD + "{0}\n", "line 5: bad sparse entry '0'"),
+     (_HEAD + "{x 1}\n", "line 5: bad sparse index 'x'")],
+    ids=["empty-attribute", "unterminated-name", "no-type", "empty-name",
+         "unterminated-nominal", "empty-nominal", "duplicate-nominal",
+         "duplicate-attribute", "empty-data", "unterminated-sparse",
+         "bad-sparse-entry", "non-integer-sparse-index"],
+)
+def test_arff_errors_name_the_fault(arff, message):
+    with pytest.raises(MalformedArff) as caught:
+        load_mulan(arff, XML_L1)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [({"features": np.zeros(3)}, "features and labels must be 2-D matrices"),
+     ({"labels": np.zeros((2, 1))}, "features and labels disagree on row count"),
+     ({"features": np.zeros((0, 1)), "labels": np.zeros((0, 1))},
+      "dataset needs at least one row"),
+     ({"labels": np.zeros((3, 0)), "label_names": ()}, "dataset needs at least one label"),
+     ({"label_names": ("A", "B")}, "label_names length must equal label column count"),
+     ({"feature_kinds": ()}, "feature_kinds length must equal feature column count")],
+    ids=["not-2d", "row-counts", "no-rows", "no-labels", "label-names", "feature-kinds"],
+)
+def test_dataset_shape_checks(changes, message):
+    fields = dict(features=np.zeros((3, 1)), labels=np.zeros((3, 1)),
+                  label_names=("A",), feature_kinds=(Attribute("x"),))
+    with pytest.raises(ValueError) as caught:
+        MultiLabelDataset(**(fields | changes))
+    assert str(caught.value) == message
 
 
 def test_non_binary_label():

@@ -222,7 +222,7 @@ def test_write_json_matches_dumps(tmp_path):
     # Non-ASCII text is escaped, so the bytes do not depend on the encoding.
     for sort_keys in (True, False):
         path = tmp_path / f"{sort_keys}.json"
-        write_json(path, obj, indent=2, sort_keys=sort_keys)
+        write_json(path, obj, sort_keys=sort_keys)
         expected = json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n"
         assert path.read_bytes() == expected.encode("ascii")
 
@@ -240,7 +240,7 @@ def test_write_json_holds_no_copy_of_the_file(tmp_path):
     path = tmp_path / "big.json"
     tracemalloc.start()
     try:
-        write_json(path, payload, indent=2, sort_keys=True)
+        write_json(path, payload, sort_keys=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -344,6 +344,38 @@ def test_collect_rank_matrix_errors(tmp_path):
         collect_rank_matrix([garbage], ("balanced_accuracy",))
     with pytest.raises(ConfigError):
         collect_rank_matrix([garbage], ("not_a_metric",))
+
+
+def _results_file(path: Path, relation: str, macros: dict) -> Path:
+    """A results file holding only what collect_rank_matrix reads."""
+    path.write_text(json.dumps({
+        "schema": "chainbalance.cv.v1",
+        "dataset": {"relation": relation},
+        "methods": {m: {"overall": {"macro": {"f_measure": v}}} for m, v in macros.items()},
+    }))
+    return path
+
+
+def _rank(tmp_path, *macros):
+    paths = [_results_file(tmp_path / f"{i}.json", f"d{i}", m) for i, m in enumerate(macros)]
+    return collect_rank_matrix(paths, ("f_measure",))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [(lambda files, tmp: _rank(tmp, {"BR": 0.5, "ECC": 0.6}, {"BR": 0.5, "CC": 0.6}),
+      "{tmp}/1.json: method set differs from earlier files"),
+     (lambda files, tmp: _rank(tmp, {"BR": 0.5, "ECC": None}),
+      "{tmp}/0.json: macro f_measure undefined for ECC"),
+     (lambda files, tmp: _rank(tmp, {"BR": 0.5}, {"BR": 0.7}),
+      "ranking needs at least two methods"),
+     (lambda files, tmp: _config(*files, tmp, n_jobs=0), "n_jobs must be >= 1")],
+    ids=["method-sets", "undefined-macro", "one-method", "no-jobs"],
+)
+def test_rank_and_config_errors_name_the_fault(files, tmp_path, make, message):
+    with pytest.raises(ConfigError) as caught:
+        make(files, tmp_path)
+    assert str(caught.value) == message.format(tmp=tmp_path)
 
 
 def test_all_methods_mid_scale_integration(tmp_path):

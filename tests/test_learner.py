@@ -175,6 +175,12 @@ def test_infinite_features_predict_as_partitioned():
     assert predict_batch(model, np.array(x)[:, None]).tolist() == y
 
 
+def test_empty_dataset_refused():
+    with pytest.raises(ValueError) as caught:
+        fit_tree(_bd(np.empty((0, 1)), []), TreeSpec())
+    assert str(caught.value) == "cannot fit a tree on an empty dataset"
+
+
 def test_leaf_class_proportions_recorded():
     model = fit_tree(_bd([0, 1, 2, 3], [0, 0, 1, 1]), TreeSpec())
     root_children = [int(model.left[0]), int(model.right[0])]

@@ -46,12 +46,28 @@ def brute_force_auc(scores, truth):
     return credit / (pos.size * neg.size)
 
 
+def reference_point_metric(conf, kind):
+    """The three-branch formula that point_metric ran before it read all
+    three objectives off one confusion: the oracles below use it, so they do
+    not test the library against itself."""
+    if kind == "F":
+        denom = 2 * conf.tp + conf.fp + conf.fn
+        return None if denom == 0 else 2 * conf.tp / denom
+    tpr = conf.tp / (conf.tp + conf.fn) if conf.tp + conf.fn > 0 else None
+    tnr = conf.tn / (conf.tn + conf.fp) if conf.tn + conf.fp > 0 else None
+    if tpr is None or tnr is None:
+        return None
+    if kind == "G":
+        return math.sqrt(tpr * tnr)
+    return (tpr + tnr) / 2
+
+
 def grid_scan_oracle(scores, truth, kind):
     """Independent exhaustive evaluation of all 21 grid thresholds."""
     best_t, best_v = None, None
     for t in THRESHOLD_GRID:
         conf = BinaryConfusion.from_predictions(np.asarray(truth), np.asarray(scores) >= t)
-        value = point_metric(conf, kind)
+        value = reference_point_metric(conf, kind)
         if value is None:
             continue
         if best_v is None or value > best_v:
@@ -87,8 +103,29 @@ def test_point_metric_undefined_cases():
     assert point_metric(no_neg, "F") == pytest.approx(6 / 7)
 
 
+_COUNTS = st.tuples(*[st.integers(0, 50)] * 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COUNTS)
+# Every zero denominator: no row at all, no positives, no negatives, and
+# F's 2tp + fp + fn = 0 with negatives present.
+@example((0, 0, 0, 0))
+@example((0, 3, 5, 0))
+@example((4, 0, 0, 2))
+@example((0, 0, 7, 0))
+def test_point_metric_equals_reference_formula(counts):
+    conf = BinaryConfusion(*counts)
+    for kind in POINT_METRICS:
+        expected = reference_point_metric(conf, kind)
+        actual = point_metric(conf, kind)
+        assert (actual is None) == (expected is None)
+        # Equal bits, not just close: the formulas run operation for operation.
+        assert actual is None or actual.hex() == expected.hex()
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.tuples(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50), st.integers(0, 50)))
+@given(_COUNTS)
 def test_gmean_never_exceeds_balanced_accuracy(counts):
     conf = BinaryConfusion(*counts)
     g = point_metric(conf, "G")
@@ -111,6 +148,9 @@ def test_auc_roc_examples():
             auc_roc([0.9, 0.1, 0.5], truth)
 
 
+_TIED_SCORES = (-math.inf, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, math.inf)
+
+
 def test_auc_roc_matches_pair_counting():
     gen = np.random.default_rng(0)
     for _ in range(300):
@@ -120,6 +160,17 @@ def test_auc_roc_matches_pair_counting():
         expected = brute_force_auc(scores, truth)
         actual = auc_roc(scores, truth)
         assert actual == expected
+    # Up to 200 rows over few values: -0.0 ties with 0.0, and the
+    # infinities are ordinary scores at the ends.
+    pool = np.array(_TIED_SCORES)
+    for _ in range(40):
+        n = int(gen.integers(2, 201))
+        scores = pool[gen.integers(0, pool.size, n)]
+        truth = gen.integers(0, 2, n)
+        assert auc_roc(scores, truth) == brute_force_auc(scores, truth)
+    for scores, truth in (([-0.0, 0.0, 0.0, -0.0], [1, 0, 0, 1]),
+                          ([math.inf, -math.inf, math.inf], [1, 0, 0])):
+        assert auc_roc(scores, truth) == brute_force_auc(scores, truth)
 
 
 def test_auc_roc_complement_property():
@@ -157,6 +208,62 @@ def test_auc_pr_examples():
     for truth in ([2, 0], [0.5, 1], [256, 0]):
         with pytest.raises(ValueError, match="0/1"):
             auc_pr([0.9, 0.1], truth)
+
+
+def per_block_auc_pr(scores, truth):
+    """Reference: walk the distinct scores from the highest down, and at the
+    end of each block of ties add recall gain times precision."""
+    scores = np.asarray(scores, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.int8)
+    pos = int(truth.sum())
+    if pos == 0:
+        return None
+    total, seen, hits = 0.0, 0, 0
+    for value in sorted(set(scores.tolist()), reverse=True):
+        block = scores == value
+        block_pos = int(truth[block].sum())
+        seen += int(block.sum())
+        hits += block_pos
+        total += (block_pos / pos) * (hits / seen)
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 60).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.sampled_from(_TIED_SCORES) | st.floats(-2.0, 2.0), min_size=n,
+                     max_size=n),
+            st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        )
+    )
+)
+def test_auc_pr_matches_per_block_loop(pair):
+    scores, truth = pair
+    expected = per_block_auc_pr(scores, truth)
+    actual = auc_pr(scores, truth)
+    if expected is None:
+        assert actual is None
+    else:
+        assert actual == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def test_nan_scores_are_refused_and_infinities_accepted():
+    scores, truth = [0.1, math.nan, 0.9, 0.4], [0, 1, 1, 0]
+    for metric in (auc_roc, auc_pr, select_threshold):
+        with pytest.raises(ValueError, match="NaN"):
+            metric(scores, truth)
+    matrix = np.array(scores)[:, None]
+    labels = np.array(truth)[:, None]
+    with pytest.raises(ValueError, match="NaN"):
+        build_report(matrix, labels, np.zeros((4, 1)), labels)
+    with pytest.raises(ValueError, match="NaN"):
+        build_report(np.zeros((4, 1)), labels, matrix, labels)
+    infinite = [math.inf, -math.inf, math.inf, 0.4]
+    assert auc_roc(infinite, truth) == brute_force_auc(infinite, truth) == 0.375
+    assert auc_pr(infinite, truth) == pytest.approx(per_block_auc_pr(infinite, truth))
+    f, _, _ = select_threshold(infinite, truth)
+    assert f.threshold == 0.45 and f.value == 0.5
 
 
 def test_auc_pr_perfect_ranking_any_prevalence():
@@ -227,7 +334,7 @@ def single_objective_scan(scores, truth, objective):
     neg = truth.shape[0] - pos
     best_t, best_v = None, -1.0
     for t, tp, fp in zip(THRESHOLD_GRID, tps.tolist(), fps.tolist()):
-        value = point_metric(BinaryConfusion(tp, fp, neg - fp, pos - tp), objective)
+        value = reference_point_metric(BinaryConfusion(tp, fp, neg - fp, pos - tp), objective)
         if value is not None and value > best_v:
             best_t, best_v = t, value
     if best_t is None:
@@ -293,20 +400,15 @@ def test_average_ranks_examples():
     assert average_ranks(three).tolist() == [2.0, 1.5, 2.5]
 
 
-def test_average_ranks_lower_is_better():
-    times = np.array([[1.0, 2.0], [3.0, 1.0]])
-    assert average_ranks(times, higher_is_better=False).tolist() == [1.5, 1.5]
-
-
-def brute_force_ranks(results, higher_is_better):
-    """Rank oracle: 1 + the methods strictly better + half the others tied."""
+def brute_force_ranks(results):
+    """Rank oracle: 1 + the methods strictly higher + half the others tied."""
     n_methods, n_datasets = results.shape
     ranks = np.zeros((n_methods, n_datasets))
     for col in range(n_datasets):
         for i in range(n_methods):
             mine = results[i, col]
             others = [results[k, col] for k in range(n_methods) if k != i]
-            better = sum((o > mine) if higher_is_better else (o < mine) for o in others)
+            better = sum(o > mine for o in others)
             tied = sum(o == mine for o in others)
             ranks[i, col] = 1.0 + better + 0.5 * tied
     return ranks.mean(axis=1)
@@ -323,13 +425,10 @@ _RANK_CELL = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
             st.lists(_RANK_CELL, min_size=m, max_size=m), min_size=1, max_size=4
         )
     ),
-    st.booleans(),
 )
-def test_average_ranks_match_pair_counting(columns, higher_is_better):
+def test_average_ranks_match_pair_counting(columns):
     results = np.array(columns).T
-    assert average_ranks(results, higher_is_better).tolist() == (
-        brute_force_ranks(results, higher_is_better).tolist()
-    )
+    assert average_ranks(results).tolist() == brute_force_ranks(results).tolist()
 
 
 def test_imr_buckets():
@@ -377,6 +476,31 @@ def test_build_report_shapes_and_macro():
     bad_train[0, 0] = 2
     with pytest.raises(ValueError, match="0/1"):
         build_report(train_scores, bad_train, test_scores, test_truth)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [(lambda: build_report(np.zeros((4, 2)), np.zeros((4, 1)), np.zeros((2, 2)),
+                           np.zeros((2, 2))),
+      LengthMismatch, "scores and truth matrices differ in shape"),
+     (lambda: build_report(np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((2, 1)),
+                           np.zeros((2, 1))),
+      LengthMismatch, "train and test disagree on label count"),
+     (lambda: average_ranks(np.zeros(3)), ValueError,
+      "results must be a methods x datasets matrix"),
+     (lambda: average_ranks(np.array([[0.5, np.nan], [0.4, 0.3]])), ValueError,
+      "results must not contain missing cells"),
+     (lambda: imr_bucket_report([1.0, 2.0], [0.5]), LengthMismatch,
+      "imrs and values differ in length"),
+     (lambda: BinaryConfusion.from_predictions(np.zeros(3), np.zeros(2)), LengthMismatch,
+      "truth and predictions differ in length")],
+    ids=["report-shape", "report-labels", "ranks-not-2d", "ranks-missing", "imr-lengths",
+         "confusion-lengths"],
+)
+def test_input_checks_name_the_fault(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 def test_report_flat_csv_rows(tmp_path):

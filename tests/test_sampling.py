@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainbalance.dataset import Attribute, MultiLabelDataset
-from chainbalance.errors import SingleClassInput
+from chainbalance.errors import ConfigError, SingleClassInput
 from chainbalance.sampling import (
     BinaryDataset,
     RngStream,
@@ -191,6 +191,22 @@ def test_binary_dataset_targets():
     for bad in (0.5, 0.9, 256.0, -1, 2):
         with pytest.raises(ValueError, match="0/1"):
             BinaryDataset(np.zeros((3, 1)), [0.0, 1.0, bad])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [(lambda: BinaryDataset(np.zeros(3), np.zeros(3)), ValueError,
+      "features must be 2-D and targets 1-D"),
+     (lambda: BinaryDataset(np.zeros((3, 1)), np.zeros(2)), ValueError,
+      "features and targets disagree on row count"),
+     (lambda: iterative_stratified_kfold(make_dataset(6, [0.5], seed=1), 1, RngStream(0)),
+      ConfigError, "k must be at least 2")],
+    ids=["not-2d", "row-counts", "one-fold"],
+)
+def test_input_checks_name_the_fault(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 def _folds(fold_of: np.ndarray, k: int) -> list[np.ndarray]:
