@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
@@ -53,7 +52,8 @@ class MultiLabelDataset:
               nominal attributes hold category codes.
     labels:   (n, q) int8 matrix restricted to {0, 1}.
     label_names and feature_kinds preserve declaration order.
-    ranks:    rank_codes(features), computed on first use and then cached.
+    ranks:    rank_codes(features), computed once here; every subset gathers
+              its rows or columns of these codes.
     """
 
     features: np.ndarray
@@ -88,10 +88,12 @@ class MultiLabelDataset:
         # the caller's own arrays writable.
         feats = feats.view()
         labs = labs.view()
-        feats.setflags(write=False)
-        labs.setflags(write=False)
+        ranks = rank_codes(feats)
+        for values in (feats, labs, ranks):
+            values.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
+        object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "label_names", tuple(self.label_names))
         object.__setattr__(self, "feature_kinds", tuple(self.feature_kinds))
 
@@ -107,37 +109,27 @@ class MultiLabelDataset:
     def q(self) -> int:
         return self.labels.shape[1]
 
-    @cached_property
-    def ranks(self) -> np.ndarray:
-        codes = rank_codes(self.features)
-        codes.setflags(write=False)
-        return codes
-
     def take_rows(self, indices: np.ndarray) -> "MultiLabelDataset":
         """New dataset holding the given rows (indices may repeat).
 
-        Codes already ranked here are gathered, not ranked again: rows taken
-        from a superset still compare like their values.
+        Its codes are gathered, not ranked again: rows taken from a superset
+        still compare like their values.
         """
-        arrays = {"features": self.features[indices], "labels": self.labels[indices]}
-        if "ranks" in self.__dict__:
-            arrays["ranks"] = self.ranks[indices]
-        return self._gathered(self.feature_kinds, **arrays)
+        rows = self.features[indices], self.labels[indices], self.ranks[indices]
+        return self._gathered(self.feature_kinds, *rows)
 
     def _gathered(
-        self, feature_kinds: tuple[Attribute, ...], **arrays: np.ndarray
+        self, kinds: tuple[Attribute, ...], feats: np.ndarray, labs: np.ndarray, ranks: np.ndarray
     ) -> "MultiLabelDataset":
         """A dataset of rows or columns gathered from this validated one, built
-        without __post_init__, which would check and copy them again.
-
-        arrays holds C-ordered features and labels, and ranks when known; each
-        is set read-only.
+        without __post_init__, which would check, copy and rank them again. The
+        C-ordered feats, labs and ranks are set read-only.
         """
-        for values in arrays.values():
+        for values in (feats, labs, ranks):
             values.setflags(write=False)
         taken = object.__new__(MultiLabelDataset)
-        vars(taken).update(arrays, feature_kinds=feature_kinds)
-        vars(taken).update(label_names=self.label_names, relation=self.relation)
+        vars(taken).update(features=feats, labels=labs, ranks=ranks, relation=self.relation)
+        vars(taken).update(feature_kinds=kinds, label_names=self.label_names)
         return taken
 
 
@@ -552,6 +544,7 @@ def reduce_features_by_frequency(
     retained = np.sort(ranked[:keep])
     return ds._gathered(
         tuple(ds.feature_kinds[j] for j in retained),
-        features=np.ascontiguousarray(ds.features[:, retained]),
-        labels=ds.labels,
+        np.ascontiguousarray(ds.features[:, retained]),
+        ds.labels,
+        np.ascontiguousarray(ds.ranks[:, retained]),
     )

@@ -141,6 +141,7 @@ class EnsembleModel:
         object.__setattr__(self, "vote_counts", counts)
 
 
+# 1e-9 absorbs float error in c * theta: 15 * 8.2 is 122.99999999999999.
 def _int_floor(value: float) -> int:
     return int(math.floor(value + 1e-9))
 
@@ -298,9 +299,6 @@ def train_ensemble(
             tuple(eligible[p] for p in positions)
             for positions in chain_label_sets(targets)
         ]
-    # Rank the features before the rounds: the threads share these codes,
-    # and every bootstrap and balanced subset gathers them instead of sorting.
-    ds.ranks
     root = RngStream(spec.seed)
     tasks = [
         partial(_train_round, ds, labels, root.child(i), method, spec.tree)

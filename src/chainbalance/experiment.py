@@ -160,8 +160,8 @@ def run_cv(config: ExperimentConfig) -> dict:
     Writes cv_results.json (deterministic), per_label.csv, and last
     timings.json, the seconds each stage took. Returns the cv_results
     payload. The directory is made first, so a path that cannot hold it
-    fails before any training. Every repeat's folds are split, and the
-    dataset ranked, before any cell runs.
+    fails before any training. Every repeat's folds are split before any
+    cell runs.
     """
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -176,10 +176,6 @@ def run_cv(config: ExperimentConfig) -> dict:
         for repeat in range(config.repeats)
     ]
     split = time.perf_counter()
-    # Codes ranked on all rows order each training half like its own codes,
-    # so every cell gathers these instead of ranking its half again.
-    ds.ranks
-    ranked = time.perf_counter()
     n_methods = len(config.methods)
     cells = product(range(config.repeats), range(config.folds), range(n_methods))
     outcomes = [run_cell(ds, fold_ofs[r], config, r, f, m) for r, f, m in cells]
@@ -211,7 +207,6 @@ def run_cv(config: ExperimentConfig) -> dict:
     timings = {
         "load_seconds": loaded - started,
         "split_seconds": split - loaded,
-        "rank_seconds": ranked - split,
         "write_seconds": time.perf_counter() - writing,
         "methods": {method: [t for _, t in done] for method, done in per_method.items()},
     }

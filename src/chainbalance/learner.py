@@ -14,7 +14,7 @@ The search works on presorted feature-major lists, as in SLIQ and SPRINT
 (Mehta et al. 1996; Shafer et al. 1996), of integer rank codes
 (dataset.rank_codes) instead of values. Codes order like the values and are
 equal exactly where the values are, so sorting codes gives the same lists,
-ties included. A dataset ranks its features once and its subsets gather
+ties included. A dataset ranks its features when built, and its subsets gather
 those codes, so a fit sorts 16-bit codes, which numpy radix-sorts, instead
 of doubles. Every list entry of a node is one record of the row's id,
 code and target, so a split partitions the records stably with one gather

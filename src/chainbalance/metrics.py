@@ -106,22 +106,37 @@ def _tie_blocks(scores: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.n
     return counts, np.bincount(inverse, weights=truth)
 
 
+def _aucs(scores: np.ndarray, truth: np.ndarray) -> tuple[float | None, float | None]:
+    """auc_roc and auc_pr of one column, from one check and one tie table."""
+    scores, truth = _check_pair(scores, truth)
+    pos = int(truth.sum())
+    neg = truth.shape[0] - pos
+    if pos == 0:
+        return None, None
+    counts, pos_per_value = _tie_blocks(scores, truth)
+    roc = None
+    if neg > 0:
+        # Mid-ranks are multiples of 1/2, so this sum is exact below 2**53.
+        rank_sum = float((_midranks(counts) * pos_per_value).sum())
+        u = rank_sum - pos * (pos + 1) / 2.0
+        roc = u / (pos * neg)
+    # Descending score order.
+    block_pos = pos_per_value[::-1]
+    block_n = counts[::-1].astype(np.float64)
+    cum_tp = np.cumsum(block_pos)
+    cum_n = np.cumsum(block_n)
+    precision = cum_tp / cum_n
+    recall_gain = block_pos / pos
+    return roc, float((recall_gain * precision).sum())
+
+
 def auc_roc(scores: np.ndarray, truth: np.ndarray) -> float | None:
     """Probability a random positive outscores a random negative.
 
     Computed as the normalized rank-sum statistic; tied pairs count half.
     None when either class is absent.
     """
-    scores, truth = _check_pair(scores, truth)
-    pos = int(truth.sum())
-    neg = truth.shape[0] - pos
-    if pos == 0 or neg == 0:
-        return None
-    counts, block_pos = _tie_blocks(scores, truth)
-    # Mid-ranks are multiples of 1/2, so this sum is exact below 2**53.
-    rank_sum = float((_midranks(counts) * block_pos).sum())
-    u = rank_sum - pos * (pos + 1) / 2.0
-    return u / (pos * neg)
+    return _aucs(scores, truth)[0]
 
 
 def auc_pr(scores: np.ndarray, truth: np.ndarray) -> float | None:
@@ -130,19 +145,7 @@ def auc_pr(scores: np.ndarray, truth: np.ndarray) -> float | None:
     Tied scores form one block evaluated at the block end. None when there
     are no positives.
     """
-    scores, truth = _check_pair(scores, truth)
-    pos = int(truth.sum())
-    if pos == 0:
-        return None
-    counts, pos_per_value = _tie_blocks(scores, truth)
-    # Descending score order.
-    block_pos = pos_per_value[::-1]
-    block_n = counts[::-1].astype(np.float64)
-    cum_tp = np.cumsum(block_pos)
-    cum_n = np.cumsum(block_n)
-    precision = cum_tp / cum_n
-    recall_gain = block_pos / pos
-    return float((recall_gain * precision).sum())
+    return _aucs(scores, truth)[1]
 
 
 @dataclass(frozen=True)
@@ -286,8 +289,7 @@ def build_report(
             row[key] = point_metric(conf, kind)
             row[f"threshold_{kind.lower()}"] = choice.threshold
             row["threshold_fallback"] |= choice.fallback
-        row["auc_roc"] = auc_roc(te_s, te_t)
-        row["auc_pr"] = auc_pr(te_s, te_t)
+        row["auc_roc"], row["auc_pr"] = _aucs(te_s, te_t)
         rows.append(row)
 
     return {

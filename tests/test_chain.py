@@ -233,7 +233,6 @@ def test_chain_from_row_ids_equals_chain_on_taken_rows(undersampled):
     # A bagged round hands its chains bootstrap row ids; each chain gathers
     # them into its own buffers instead of training on a bootstrap copy.
     ds = make_dataset(90, [0.5, 0.3, 0.2], noise_features=3, seed=8)
-    ds.ranks
     rows = np.random.default_rng(9).integers(0, ds.n, size=ds.n)
     taken = ds.take_rows(rows)
     for chain in (ChainSpec((2, 0, 1)), ChainSpec((1,))):

@@ -786,17 +786,13 @@ def test_subsets_of_a_dataset_are_not_validated_again(monkeypatch):
 
 
 def _same_dataset(got: MultiLabelDataset, want: MultiLabelDataset) -> None:
-    for name in ("features", "labels"):
+    for name in ("features", "labels", "ranks"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b)
         assert a.flags.c_contiguous and not a.flags.writeable
     assert got.label_names == want.label_names
     assert got.feature_kinds == want.feature_kinds
     assert got.relation == want.relation
-    assert ("ranks" in got.__dict__) == ("ranks" in want.__dict__)
-    if "ranks" in got.__dict__:
-        assert not got.ranks.flags.writeable
-        assert np.array_equal(got.ranks, want.ranks)
 
 
 @settings(max_examples=100, deadline=None)
@@ -815,8 +811,6 @@ def test_subsets_equal_their_validated_construction(data):
         feature_kinds=tuple(Attribute(f"x{i}") for i in range(d)),
         relation="drawn",
     )
-    if data.draw(st.booleans(), label="ranked"):
-        ds.ranks  # computed once, then cached on ds
     rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12)))
     want = MultiLabelDataset(
         features=ds.features[rows],
@@ -825,9 +819,8 @@ def test_subsets_equal_their_validated_construction(data):
         feature_kinds=ds.feature_kinds,
         relation=ds.relation,
     )
-    if "ranks" in ds.__dict__:
-        object.__setattr__(want, "ranks", ds.ranks[rows])
-        want.ranks.setflags(write=False)
+    # Taken rows gather their parent's codes; ranking them anew could differ.
+    object.__setattr__(want, "ranks", ds.ranks[rows])
     _same_dataset(ds.take_rows(rows), want)
     keep_fraction = data.draw(st.sampled_from([0.2, 0.5, 0.9]), label="keep_fraction")
     reduced = reduce_features_by_frequency(ds, keep_fraction)

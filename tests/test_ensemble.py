@@ -96,6 +96,18 @@ def test_budget_zero_raw_lifted():
     assert budget.targets[-1] == 1
 
 
+def test_budget_bounds_absorb_float_error_in_c_theta():
+    # c * theta misses the whole number it stands for by one rounding step.
+    assert 15 * 8.2 == 122.99999999999999 and 25 * 0.28 == 7.000000000000001
+    spec = EnsembleSpec(method="ECCRU2", c=15, theta_max=8.2)
+    capped = compute_classifier_budget([1, 1000], spec)
+    assert capped.raw[0] > 123 and capped.targets[0] == 123
+    spec = EnsembleSpec(method="ECCRU3", c=25, theta_min=0.28)
+    floored = compute_classifier_budget([1, 1, 1, 1, 1000], spec)
+    assert floored.raw == (5020, 5020, 5020, 5020, 5)
+    assert floored.targets == (250, 250, 250, 250, 7)
+
+
 def test_budget_zero_minority_rejected():
     with pytest.raises(ZeroMinorityCount):
         compute_classifier_budget([5, 0], EnsembleSpec(method="ECCRU2"))
@@ -186,6 +198,22 @@ def test_eccru2_build_matches_worked_example():
     for a, b in zip(label_sets, label_sets[1:]):
         assert b <= a
     assert all(len(s) >= 2 for s in label_sets)
+
+
+def test_eccru3_floor_keeps_chains_whole_where_eccru2_drops_a_label():
+    # At c=4 the raw counts are (8, 4, 2). ECCRU2 keeps them: two full chains,
+    # then two without the third label. ECCRU3's floor of c*theta_min = 4
+    # lifts the third label, so all four chains are full.
+    ds = dataset_with_label_counts(100, [10, 20, 30], seed=3)
+    eccru2 = EnsembleSpec(method="ECCRU2", c=4)
+    eccru3 = EnsembleSpec(method="ECCRU3", c=4, theta_min=1.0)
+    assert compute_classifier_budget([10, 20, 30], eccru2).targets == (8, 4, 2)
+    assert compute_classifier_budget([10, 20, 30], eccru3).targets == (8, 4, 4)
+    lengths = {
+        spec.method: [len(chain.links) for chain in train_ensemble(ds, spec).chains]
+        for spec in (eccru2, eccru3)
+    }
+    assert lengths == {"ECCRU2": [3, 3, 2, 2], "ECCRU3": [3, 3, 3, 3]}
 
 
 def test_ecc_single_chain_votes_are_binary():

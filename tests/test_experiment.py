@@ -14,7 +14,8 @@ import pytest
 
 import chainbalance
 import chainbalance.dataset as dataset_mod
-from chainbalance.dataset import load_mulan_files
+import chainbalance.learner as learner_mod
+from chainbalance.dataset import load_mulan_files, reduce_features_by_frequency
 from chainbalance.ensemble import (
     METHODS,
     EnsembleSpec,
@@ -140,8 +141,8 @@ def test_run_cv_outputs_pinned(tmp_path, monkeypatch):
 
 def test_cells_computed_alone_in_reverse_order_equal_run_cv_folds(tmp_path, monkeypatch):
     # The inputs of test_run_cv_outputs_pinned. Each cell runs on its own, on
-    # a dataset that was never ranked as a whole, after the cells that follow
-    # it in run_cv's order, and must still give run_cv's fold record.
+    # a dataset loaded again, after the cells that follow it in run_cv's
+    # order, and must still give run_cv's fold record.
     monkeypatch.chdir(tmp_path)
     ds = make_dataset(80, [0.0, 0.15, 0.4], seed=9, relation="pinned")
     arff, xml = write_dataset_files(ds, Path("."))
@@ -174,7 +175,6 @@ def test_cells_computed_alone_in_reverse_order_equal_run_cv_folds(tmp_path, monk
         assert all(times[key] >= 0.0 for key in list(times)[2:])
         expected = payload["methods"][METHODS[m]]["folds"][repeat * config.folds + fold]
         assert record == expected
-    assert "ranks" not in loaded.__dict__
 
 
 def test_run_cv_ranks_the_dataset_once(files, tmp_path, monkeypatch):
@@ -192,6 +192,32 @@ def test_run_cv_ranks_the_dataset_once(files, tmp_path, monkeypatch):
     assert shapes == [(payload["dataset"]["n"], payload["dataset"]["d"])]
 
 
+def test_a_dataset_is_ranked_when_built_and_never_again(tmp_path, monkeypatch):
+    # Subsets of rows or columns, cells and trainers at one or two jobs all
+    # gather the codes ranked when the dataset was built.
+    shapes = []
+    rank_codes = dataset_mod.rank_codes
+
+    def counted(X):
+        shapes.append(X.shape)
+        return rank_codes(X)
+
+    monkeypatch.setattr(dataset_mod, "rank_codes", counted)
+    monkeypatch.setattr(learner_mod, "rank_codes", counted)
+    ds = make_dataset(60, [0.2, 0.45], noise_features=4, seed=1)
+    assert shapes == [(ds.n, ds.d)]
+    reduced = reduce_features_by_frequency(ds.take_rows(np.arange(0, ds.n, 2)), 0.5)
+    assert reduced.d < ds.d
+    reduced.take_rows(np.arange(10))
+    fold_of = iterative_stratified_kfold(ds, 2, RngStream(0))
+    for n_jobs in (1, 2):
+        config = _config("unused.arff", "unused.xml", tmp_path, methods=METHODS, n_jobs=n_jobs)
+        for m in range(len(METHODS)):
+            run_cell(ds, fold_of, config, 0, 1, m)
+            train_ensemble(reduced, config.ensemble_spec(METHODS[m], seed=m), n_jobs=n_jobs)
+    assert shapes == [(ds.n, ds.d)]
+
+
 def test_run_cv_timings_layout(files, tmp_path):
     arff, xml = files
     run_cv(_config(arff, xml, tmp_path))
@@ -200,7 +226,7 @@ def test_run_cv_timings_layout(files, tmp_path):
     # Insertion order and an indent of 2, as json.dumps(timings, indent=2).
     assert text == json.dumps(timings, indent=2) + "\n"
     assert list(timings) == [
-        "load_seconds", "split_seconds", "rank_seconds", "write_seconds", "methods"
+        "load_seconds", "split_seconds", "write_seconds", "methods"
     ]
     assert all(timings[key] >= 0.0 for key in list(timings)[:-1])
     assert list(timings["methods"]) == ["BR", "ECCRU"]
@@ -311,6 +337,20 @@ def test_run_cv_scores_half_without_two_class_label(tmp_path):
         assert empty[0]["classifier_counts"] == [0]
         assert empty[0]["instance_budget"] == 0
         assert empty[0]["report"]["per_label"][0]["auc_roc"] == 0.5
+
+
+def test_run_cv_writes_the_eccru3_floor_into_classifier_counts(tmp_path):
+    # Each training half holds about (5, 10, 15) minority rows: at c=4 the
+    # budget is (8, 4, 2) for ECCRU2 and (8, 4, 4) under ECCRU3's floor.
+    ds = dataset_with_label_counts(100, [10, 20, 30], seed=3)
+    arff, xml = write_dataset_files(ds, tmp_path)
+    config = _config(
+        arff, xml, tmp_path / "out", methods=("ECCRU2", "ECCRU3"), c=4, theta_min=1.0,
+        repeats=1,
+    )
+    methods = run_cv(config)["methods"]
+    counts = {m: [f["classifier_counts"] for f in methods[m]["folds"]] for m in methods}
+    assert counts == {"ECCRU2": [[4, 4, 2]] * 2, "ECCRU3": [[4, 4, 4]] * 2}
 
 
 def test_run_cv_feature_reduction_applied(files, tmp_path):

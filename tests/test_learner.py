@@ -9,7 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chainbalance.learner as learner_module
-from chainbalance.dataset import Attribute, MultiLabelDataset, rank_codes
+from chainbalance.dataset import (
+    Attribute,
+    MultiLabelDataset,
+    rank_codes,
+    reduce_features_by_frequency,
+)
 from chainbalance.errors import ArityMismatch
 from chainbalance.learner import TreeSpec, fit_tree, predict_batch
 from chainbalance.sampling import BinaryDataset
@@ -546,9 +551,12 @@ def test_rank_codes_order_like_values(n, d, seed):
     codes = ds.ranks
     rows = gen.integers(0, n, size=n)
     taken = ds.take_rows(rows)
-    # The subset gathers its parent's codes instead of ranking its own rows.
+    reduced = reduce_features_by_frequency(ds, 0.5)
+    kept = [int(a.name[1:]) for a in reduced.feature_kinds]
+    # Subsets gather their parent's codes instead of ranking their own values.
     assert np.array_equal(taken.ranks, codes[rows])
-    for codes, values in ((ds.ranks, X), (taken.ranks, X[rows])):
+    assert np.array_equal(reduced.ranks, codes[:, kept])
+    for codes, values in ((ds.ranks, X), (taken.ranks, X[rows]), (reduced.ranks, X[:, kept])):
         assert codes.dtype == np.uint16
         assert np.array_equal(_stable_order(codes), _stable_order(values))
         assert _same_ties(codes, values)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chainbalance.metrics as metrics_module
 from chainbalance.errors import LengthMismatch
 from chainbalance.experiment import ExperimentConfig, run_cv
 from chainbalance.metrics import (
@@ -476,6 +477,29 @@ def test_build_report_shapes_and_macro():
     bad_train[0, 0] = 2
     with pytest.raises(ValueError, match="0/1"):
         build_report(train_scores, bad_train, test_scores, test_truth)
+
+
+def test_build_report_builds_one_tie_table_per_label(monkeypatch):
+    gen = np.random.default_rng(7)
+    n_tr, n_te, q = 30, 16, 4
+    train_truth = gen.integers(0, 2, (n_tr, q))
+    test_truth = gen.integers(0, 2, (n_te, q))
+    test_truth[:2] = [[0], [1]]  # both classes in every test column
+    train_scores = gen.random((n_tr, q)).round(1)
+    test_scores = gen.random((n_te, q)).round(1)  # rounded, so scores tie
+    tables = []
+    tie_blocks = metrics_module._tie_blocks
+
+    def counted(scores, truth):
+        tables.append(scores.shape)
+        return tie_blocks(scores, truth)
+
+    monkeypatch.setattr(metrics_module, "_tie_blocks", counted)
+    report = build_report(train_scores, train_truth, test_scores, test_truth)
+    assert tables == [(n_te,)] * q
+    for j, row in enumerate(report["per_label"]):
+        assert row["auc_roc"] == auc_roc(test_scores[:, j], test_truth[:, j])
+        assert row["auc_pr"] == auc_pr(test_scores[:, j], test_truth[:, j])
 
 
 @pytest.mark.parametrize(
