@@ -23,11 +23,11 @@ split, for its threshold.
 
 Memory is bounded as in those designs. A node is searched, and split, in
 blocks of consecutive features that hold at most SEARCH_CELLS list entries,
-so the search's float temporaries and the partition's index arrays are
-sized by the block, not by d x n. At its peak a fit holds about 16 bytes
-per (feature, row), the root's 8-byte records and those of its children,
-plus about 2 MB of block buffers; searching every feature at once held
-about 60 bytes.
+and each block makes its own temporaries, so they are sized by the block,
+not by d x n. At its peak a fit holds the root's 8-byte records, those of
+its children and one block's temporaries: 18.6 bytes per (feature, row) on
+1,200 rows x 300 features, 22.8 on 1,208 x 110, where a block is a larger
+share of the whole. Searching every feature at once held about 60 bytes.
 
 A wide block (more than two features, at least EXTREMES_CELLS entries, at
 most 65,536 rows) evaluates two candidates per position instead of one per
@@ -130,11 +130,11 @@ class BinaryModel:
 
 # Most list entries that one step of the search works on. A node's features
 # are searched, and a split partitions them, in blocks of consecutive
-# features holding at most this many (feature, row) entries, so the work
-# buffers are sized by the block and not by the width of the data. Smaller
-# blocks cost numpy calls per node; larger ones cost memory per fit. At
-# 2**16, a fit on 1,200 rows x 300 features peaks at 23 bytes per entry
-# (33 at 2**17, 46 at 2**18) and takes no longer than at 2**17 or 2**18.
+# features holding at most this many (feature, row) entries, so the
+# search's temporaries are sized by the block and not by the width of the
+# data. Smaller blocks cost numpy calls per node; larger ones cost memory
+# per fit. At 2**16, a fit on 1,200 rows x 300 features peaks at 18.6 bytes
+# per entry (21.5 at 2**17, 24.0 at 2**18) and takes as long as at either.
 SEARCH_CELLS = 1 << 16
 
 # Fewest list entries for which a search block of three or more features
@@ -172,7 +172,7 @@ def _presort(ranks: np.ndarray, y: np.ndarray) -> np.ndarray:
     feature f. Features are sorted a block at a time, straight into the
     records, so the temporaries stay within a block."""
     n, d = ranks.shape
-    record = np.dtype([("id", np.int32), ("code", ranks.dtype), ("tgt", np.int8)], align=True)
+    record = np.dtype([("id", np.int32), ("code", ranks.dtype), ("tgt", np.int16)], align=True)
     lists = np.empty((d, n), dtype=record)
     step = max(1, SEARCH_CELLS // n)
     for f0 in range(0, d, step):
@@ -229,18 +229,18 @@ def fit_tree(
     rows or of any superset; it is computed here when not given. Each node
     carries a (d, m) array of (id, code, tgt) records of its rows, row f
     sorted by feature f. The search scans the prefix sums of positives along
-    the rows of one feature block at a time (see SEARCH_CELLS). A block of
-    more than two features, at least EXTREMES_CELLS entries and at most
-    65,536 rows evaluates the Gini only at each position's largest and
-    smallest admissible left-positive count, where alone the minimum can
-    lie, since the weighted Gini is strictly concave in that count; the
-    bound on the rows keeps the concavity margin above the formula's
-    rounding (see the module docstring). A split partitions the records
-    stably, so the children need no sort and no gather from the full matrix.
-    A record takes 8 bytes (an int32 id, a 16-bit code and an int8 target,
-    aligned), 12 with 32-bit codes; a split holds its node's and its
-    children's, so a fit peaks near 16 bytes per (feature, row) plus the
-    block-sized buffers.
+    the rows of one feature block at a time (see SEARCH_CELLS), and every
+    temporary it makes is sized by its block. A block of more than two
+    features, at least EXTREMES_CELLS entries and at most 65,536 rows
+    evaluates the Gini only at each position's largest and smallest
+    admissible left-positive count, where alone the minimum can lie, since
+    the weighted Gini is strictly concave in that count; the bound on the
+    rows keeps the concavity margin above the formula's rounding (see the
+    module docstring). A split partitions the records stably, so the
+    children need no sort and no gather from the full matrix. A record takes
+    8 bytes (an int32 id, a 16-bit code and an int16 target), 12 with 32-bit
+    codes; a split holds its node's and its children's, so a fit peaks near
+    16 bytes per (feature, row) plus one block's temporaries.
     """
     if bd.n == 0:
         raise ValueError("cannot fit a tree on an empty dataset")
@@ -264,70 +264,37 @@ def fit_tree(
     leaf_value = [int(2 * pos >= n)]
     max_depth_seen = 0
 
-    # Work buffers for one block of the search: a block of the root holds at
-    # most max(SEARCH_CELLS, n) list entries, and no node has more rows. A
-    # node of m rows has k = m - 2*min_leaf + 1 candidate positions
-    # lo..hi-1: the split after position i leaves i+1 rows left and m-i-1
-    # right, both >= min_leaf.
     counts = np.arange(n + 1, dtype=np.float64)
     twice = 2.0 * counts
-    size = min(d * n, max(SEARCH_CELLS, n))
     # Left-positive counts, with the wide search's penalty m + 2 added, stay
-    # below 2n + 3, so int16 holds them up to 16,382 rows and halves the bytes
-    # the count passes move.
+    # below 2n + 3, so int16 holds them up to 16,382 rows, the targets' own
+    # type, and halves the bytes the count passes move.
     count_type = np.int16 if 2 * n + 2 < 1 << 15 else np.int32
-    cum_buf = np.empty(size, dtype=count_type)
-    gini_buf = np.empty(size)
-    other_buf = np.empty(size)
-    tmp_buf = np.empty(size)
-    tie_buf = np.empty(size, dtype=bool)
     goes_left = np.empty(n, dtype=bool)
     table_rows = GINI_TABLE_ROWS
     terms, row_base = _gini_terms(table_rows)
     stride = table_rows + 1
-
-    def splittable(pos: int, m: int, depth: int) -> bool:
-        return 0 < pos < m and d > 0 and depth < max_depth and m >= 2 * min_leaf
 
     def weighted_gini(left_pos: np.ndarray, pos: int, m: int, lo: int, hi: int) -> np.ndarray:
         """The weighted Gini of the split after each position lo..hi-1 of a
         node of m rows and pos positives, for each row of left-positive
         counts, operation for operation as (ln*2*pl*(1-pl) + rn*2*pr*(1-pr))
         / m, so that equal inputs give equal floats."""
-        rows, k = left_pos.shape[0], hi - lo
-        gini = gini_buf[: rows * k].reshape(rows, k)
-        other = other_buf[: rows * k].reshape(rows, k)
-        tmp = tmp_buf[: rows * k].reshape(rows, k)
-        np.divide(left_pos, counts[lo + 1 : hi + 1], out=gini)
-        np.subtract(1.0, gini, out=tmp)
-        np.multiply(gini, twice[lo + 1 : hi + 1], out=gini)
-        np.multiply(gini, tmp, out=gini)
-        np.subtract(pos, left_pos, out=other)
-        np.divide(other, counts[hi:lo:-1], out=other)
-        np.subtract(1.0, other, out=tmp)
-        np.multiply(other, twice[hi:lo:-1], out=other)
-        np.multiply(other, tmp, out=other)
-        np.add(gini, other, out=gini)
-        np.divide(gini, m, out=gini)
-        return gini
-
-    def table_gini(left_pos: np.ndarray, pos: int, m: int, lo: int, hi: int) -> np.ndarray:
-        """weighted_gini of a node of at most table_rows rows: each child's
-        term ln*2*pl*(1-pl) is read from the table, which holds the floats
-        that weighted_gini computes for it, so the sum and quotient are the
-        same too (see the module docstring)."""
-        # The left child's entry is ln * stride + lp; the right child's,
-        # rn * stride + pos - lp, is m * stride + pos minus the left's.
-        at = left_pos + row_base[lo + 1 : hi + 1]
-        gini = terms.take(at)
-        np.subtract(m * stride + pos, at, out=at)
-        gini += terms.take(at)
+        share = left_pos / counts[lo + 1 : hi + 1]
+        gini = share * twice[lo + 1 : hi + 1]
+        gini *= 1.0 - share
+        share = (pos - left_pos) / counts[hi:lo:-1]
+        other = share * twice[hi:lo:-1]
+        other *= 1.0 - share
+        gini += other
         gini /= m
         return gini
 
     # Explicit stack: unlimited-depth trees can exceed the recursion limit.
-    # A node pushed without lists is a leaf.
-    stack = [(0, _presort(ranks, y) if splittable(pos, n, 0) else None, 0, pos)]
+    # Only an impure node above the depth limit with rows for two leaves
+    # grows; one pushed without lists is a leaf.
+    grows = 0 < pos < n and 0 < max_depth and n >= 2 * min_leaf
+    stack = [(0, _presort(ranks, y) if grows else None, 0, pos)]
     while stack:
         node, lists, depth, pos = stack.pop()
         max_depth_seen = max(max_depth_seen, depth)
@@ -335,6 +302,8 @@ def fit_tree(
             continue
         ids, codes, tgt = lists["id"], lists["code"], lists["tgt"]
         m = lists.shape[1]
+        # The split after position i leaves i+1 rows left and m-i-1 right,
+        # both >= min_leaf, so the candidates are positions lo..hi-1.
         lo, hi = min_leaf - 1, m - min_leaf
         k = hi - lo
         # The running best starts at 1.0, which no candidate reaches. A later
@@ -342,48 +311,43 @@ def fit_tree(
         best_gini = 1.0
         # Features per block: as many lists as SEARCH_CELLS entries hold.
         step = max(1, SEARCH_CELLS // m)
-        narrow_gini = table_gini if m <= table_rows else weighted_gini
         for f0 in range(0, d, step):
             nf = min(step, d - f0)
             # ufunc.accumulate is what the cumsum method calls, minus about
             # 1 us of lookup per call.
-            cum = np.add.accumulate(
-                tgt[f0 : f0 + nf], axis=1, dtype=count_type, out=cum_buf[: nf * m].reshape(nf, m)
-            )
+            cum = np.add.accumulate(tgt[f0 : f0 + nf], axis=1, dtype=count_type)
             left_pos = cum[:, lo:hi]
-            # A split between equal codes is not a candidate. The block's
-            # records are C-contiguous, so its codes flatten to one strided
-            # view and the comparison is one pass; the pairs that straddle
-            # two features' lists fall outside the candidate columns.
-            flat = codes[f0 : f0 + nf].reshape(-1)
-            np.equal(flat[:-1], flat[1:], out=tie_buf[: nf * m - 1])
-            tie = tie_buf[: nf * m].reshape(nf, m)[:, lo:hi]
+            # A split between equal codes is not a candidate.
+            tie = codes[f0 : f0 + nf, lo:hi] == codes[f0 : f0 + nf, lo + 1 : hi + 1]
             wide = nf > 2 and nf * m >= EXTREMES_CELLS and m <= 1 << 16
             if wide:
                 # Only a position's largest and smallest admissible count can
-                # hold the minimum (see the module docstring). The count
-                # scratch lives in the float buffers: pen and work in tmp's
-                # and other's bytes, the (2, k) extremes at the end of gini's,
-                # past the (2, k) floats written below.
-                pen = tmp_buf.view(count_type)[: nf * k].reshape(nf, k)
-                work = other_buf.view(count_type)[: nf * k].reshape(nf, k)
-                ends = gini_buf.view(count_type)[-2 * k :].reshape(2, k)
-                # pen = m + 2 at equal codes moves their count below 0 for
-                # the max and above m for the min, so it wins neither.
-                np.multiply(tie, count_type(m + 2), out=pen)
-                np.subtract(left_pos, pen, out=work)
-                work.max(axis=0, out=ends[0])
-                np.add(left_pos, pen, out=work)
-                work.min(axis=0, out=ends[1])
+                # hold the minimum (see the module docstring). pen = m + 2 at
+                # equal codes moves their count below 0 for the max and above
+                # m for the min, so it wins neither.
+                pen = tie * count_type(m + 2)
+                ends = np.stack(((left_pos - pen).max(axis=0), (left_pos + pen).min(axis=0)))
                 gini = weighted_gini(ends, pos, m, lo, hi)
                 # A position with no admissible feature got penalised counts,
                 # whose Ginis can be negative: overwrite them with 1.
                 np.copyto(gini, 1.0, where=ends[0] < 0)
             else:
-                gini = narrow_gini(left_pos, pos, m, lo, hi)
+                if m <= table_rows:
+                    # Each child's term ln*2*pl*(1-pl) is read from the table,
+                    # which holds the floats that weighted_gini computes for
+                    # it, so the sum and quotient are the same too (see the
+                    # module docstring). The left child's entry is ln * stride
+                    # + lp; the right child's, rn * stride + pos - lp, is
+                    # m * stride + pos minus the left's.
+                    cell = left_pos + row_base[lo + 1 : hi + 1]
+                    gini = terms.take(cell)
+                    gini += terms.take(m * stride + pos - cell)
+                    gini /= m
+                else:
+                    gini = weighted_gini(left_pos, pos, m, lo, hi)
                 # Add 1 at equal codes, above any weighted Gini (at most
                 # 0.5), leaving the others exact.
-                np.add(gini, tie, out=gini)
+                gini += tie
             i = int(gini.argmin())
             value = gini.flat[i]
             if value < best_gini:
@@ -428,7 +392,10 @@ def fit_tree(
         right += (-1, -1)
         leaf_value += (int(2 * lpos >= left_n), int(2 * rpos >= right_n))
         # Children that will be leaves get no lists.
-        sides = (splittable(lpos, left_n, depth + 1), splittable(rpos, right_n, depth + 1))
+        sides = tuple(
+            0 < p < s and depth + 1 < max_depth and s >= 2 * min_leaf
+            for p, s in ((lpos, left_n), (rpos, right_n))
+        )
         left_lists = right_lists = None
         if any(sides):
             goes_left.put(ids[feat, :left_n], True)

@@ -488,21 +488,24 @@ def test_predict_batch_matches_row_walk(n, d, rows, max_depth, view, seed):
 
 def test_fit_memory_is_bounded_per_feature_row():
     # The root's lists (8 bytes per feature and row), its children's (8
-    # more) and block-sized buffers; a search over all features at once
-    # would hold about 60 bytes.
-    n, d = 1200, 300
-    gen = np.random.default_rng(0)
-    X = gen.normal(size=(n, d)).round(6)
-    y = (X[:, 0] + X[:, 3] + gen.normal(size=n) > 1.0).astype(np.int8)
-    bd, ranks = BinaryDataset(X, y), rank_codes(X)
-    tracemalloc.start()
-    try:
-        model = fit_tree(bd, TreeSpec(), ranks)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert model.node_count > 100
-    assert peak < 30 * n * d
+    # more) and one search or partition block's temporaries, which weigh
+    # more at 110 features (the shape of a yeast ECC link) than at 300; a
+    # search over all features at once held about 60. The Gini table is
+    # built once per process, not per fit, so it is built before tracing.
+    learner_module._gini_terms(learner_module.GINI_TABLE_ROWS)
+    for n, d, bound in ((1200, 300, 20.5), (1208, 110, 25)):
+        gen = np.random.default_rng(0)
+        X = gen.normal(size=(n, d)).round(6)
+        y = (X[:, 0] + X[:, 3] + gen.normal(size=n) > 1.0).astype(np.int8)
+        bd, ranks = BinaryDataset(X, y), rank_codes(X)
+        tracemalloc.start()
+        try:
+            model = fit_tree(bd, TreeSpec(), ranks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.node_count > 100
+        assert peak < bound * n * d, (n, d, peak / (n * d))
 
 
 def test_presort_memory_is_bounded_per_feature_row():
@@ -521,7 +524,7 @@ def test_presort_memory_is_bounded_per_feature_row():
     finally:
         tracemalloc.stop()
     assert lists.shape == (d, n) and lists.dtype.itemsize == 8
-    assert lists["id"].dtype == np.int32
+    assert lists["id"].dtype == np.int32 and lists["tgt"].dtype == np.int16
     assert peak < 13 * n * d
 
 
