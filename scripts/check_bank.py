@@ -5,7 +5,8 @@ Runs each bank input of each perfbench workload at n_jobs 1 and 2, every run
 in a fresh worker interpreter, using perfbench/run.py's own `prepare` and
 `run_worker`. Each cv_results.json sha256 is compared with the hash in
 perfbench/expected.json, which is only read. Prints each mismatch, then the
-number of matching runs, and exits 1 on any mismatch.
+number of matching runs and the line count of src/chainbalance/*.py, which
+is tracked beside this gate, and exits 1 on any mismatch.
 
 Usage: python3 scripts/check_bank.py
 """
@@ -17,7 +18,8 @@ import shutil
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 from run import BANK, EXPECTED, WORK, prepare, run_worker  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
@@ -44,6 +46,9 @@ def main() -> int:
                         sys.stderr.write(err[-4000:])
         shutil.rmtree(work, ignore_errors=True)
     print(f"{runs - mismatches}/{runs} runs match perfbench/expected.json")
+    sources = sorted((ROOT / "src" / "chainbalance").glob("*.py"))
+    lines = sum(len(path.read_bytes().splitlines()) for path in sources)
+    print(f"src/chainbalance/*.py: {lines} lines in {len(sources)} files")
     return 1 if mismatches else 0
 
 

@@ -20,7 +20,7 @@ from .ensemble import (
     predict_relevance_batch,
     train_ensemble,
 )
-from .learner import BinaryModel, TreeSpec, fit_tree, predict_batch
+from .learner import BinaryDataset, BinaryModel, TreeSpec, fit_tree, predict_batch
 from .metrics import (
     BinaryConfusion,
     auc_pr,
@@ -33,7 +33,6 @@ from .metrics import (
     select_threshold,
 )
 from .sampling import (
-    BinaryDataset,
     RngStream,
     bootstrap,
     iterative_stratified_kfold,

@@ -20,8 +20,8 @@ import numpy as np
 
 from .dataset import MultiLabelDataset
 from .errors import SingleClassInput
-from .learner import BinaryModel, TreeSpec, feature_rows, fit_tree, predict_batch
-from .sampling import BinaryDataset, RngStream, random_undersample
+from .learner import BinaryDataset, BinaryModel, TreeSpec, feature_rows, fit_tree, predict_batch
+from .sampling import RngStream, random_undersample
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def train_chain(
             X, R, y = X[kept], R[kept], y[kept]
             # Balanced: the minority class and as many majority rows.
             fitted = (min(fitted),) * 2
-        model = fit_tree(BinaryDataset._of_checked(X, y), spec, R)
+        model = fit_tree(BinaryDataset._of_checked(X, y, R), spec)
         links.append((label, model))
         counts.append(fitted)
         if offset < len(chain) - 1:

@@ -175,7 +175,9 @@ def _settings(ctx: click.Context, file_values: dict) -> dict:
 @click.option("--feature-keep-fraction", type=float,
               default=ExperimentConfig.feature_keep_fraction)
 @click.option("--seed", type=int, default=ExperimentConfig.seed, show_default=True)
-@click.option("--n-jobs", type=int, default=ExperimentConfig.n_jobs, show_default=True)
+@click.option("--n-jobs", type=int, default=ExperimentConfig.n_jobs, show_default=True,
+              help="Threads that run each ensemble's rounds; the results do not depend "
+                   "on it. Threads help a little on wide data and slow tiny fits.")
 @click.pass_context
 def cv(ctx: click.Context, config_path: Path | None, **_: object) -> None:
     """Cross-validated comparison of the configured methods on one dataset."""

@@ -14,12 +14,12 @@ The search works on presorted feature-major lists, as in SLIQ and SPRINT
 (Mehta et al. 1996; Shafer et al. 1996), of integer rank codes
 (dataset.rank_codes) instead of values. Codes order like the values and are
 equal exactly where the values are, so sorting codes gives the same lists,
-ties included. A dataset ranks its features when built, and its subsets gather
-those codes, so a fit sorts 16-bit codes, which numpy radix-sorts, instead
-of doubles. Every list entry of a node is one record of the row's id,
-code and target, so a split partitions the records stably with one gather
-per side, and no node sorts again. Values are read only at the chosen
-split, for its threshold.
+ties included. A dataset ranks its features when built, its subsets and a
+chain's links gather those codes, and a fit sorts its BinaryDataset's 16-bit
+codes, which numpy radix-sorts, instead of doubles. Every list entry of a
+node is one record of the row's id, code and target, so a split partitions
+the records stably with one gather per side, and no node sorts again.
+Values are read only at the chosen split, for its threshold.
 
 Memory is bounded as in those designs. A node is searched, and split, in
 blocks of consecutive features that hold at most SEARCH_CELLS list entries,
@@ -70,7 +70,6 @@ import numpy as np
 
 from .dataset import rank_codes
 from .errors import ArityMismatch, ConfigError
-from .sampling import BinaryDataset
 
 
 @dataclass(frozen=True)
@@ -85,6 +84,49 @@ class TreeSpec:
             raise ConfigError("min_samples_leaf must be >= 1")
         if self.max_depth is not None and self.max_depth < 0:
             raise ConfigError("max_depth must be None or >= 0")
+
+
+@dataclass(frozen=True)
+class BinaryDataset:
+    """A feature matrix without NaN, a 0/1 target column and the rank codes
+    that fit_tree sorts. Built, it keeps read-only copies and ranks them, so
+    no later write puts the codes out of step; _of_checked takes a chain's."""
+
+    features: np.ndarray
+    targets: np.ndarray
+
+    def __post_init__(self) -> None:
+        feats = np.array(self.features, dtype=np.float64)
+        targs = np.asarray(self.targets)
+        if feats.ndim != 2 or targs.ndim != 1:
+            raise ValueError("features must be 2-D and targets 1-D")
+        if feats.shape[0] != targs.shape[0]:
+            raise ValueError("features and targets disagree on row count")
+        if not ((targs == 0) | (targs == 1)).all():
+            raise ValueError("targets must be 0/1")
+        if np.isnan(feats).any():
+            raise ValueError("features must not be NaN")
+        targs = targs.astype(np.int8)
+        ranks = rank_codes(feats)
+        for values in (feats, targs, ranks):
+            values.setflags(write=False)
+        vars(self).update(features=feats, targets=targs, ranks=ranks)
+
+    @classmethod
+    def _of_checked(
+        cls, features: np.ndarray, targets: np.ndarray, ranks: np.ndarray
+    ) -> "BinaryDataset":
+        """A dataset of float64 features, int8 0/1 targets and their rank
+        codes, such as a chain's buffers, built without checking or ranking
+        them again. The codes may be ranked on these rows or on any superset:
+        each column need only order like its feature and be equal where it is."""
+        bd = object.__new__(cls)
+        vars(bd).update(features=features, targets=targets, ranks=ranks)
+        return bd
+
+    @property
+    def n(self) -> int:
+        return self.targets.shape[0]
 
 
 @dataclass(frozen=True)
@@ -219,14 +261,10 @@ def _partition(
     return children
 
 
-def fit_tree(
-    bd: BinaryDataset, spec: TreeSpec, ranks: np.ndarray | None = None
-) -> BinaryModel:
+def fit_tree(bd: BinaryDataset, spec: TreeSpec) -> BinaryModel:
     """Grow a tree on a binary dataset.
 
-    ranks is an (n, d) integer matrix whose columns order like those of
-    bd.features and are equal where they are, such as rank_codes of these
-    rows or of any superset; it is computed here when not given. Each node
+    The root's lists sort bd.ranks, the dataset's rank codes. Each node
     carries a (d, m) array of (id, code, tgt) records of its rows, row f
     sorted by feature f. The search scans the prefix sums of positives along
     the rows of one feature block at a time (see SEARCH_CELLS), and every
@@ -247,10 +285,6 @@ def fit_tree(
     X = bd.features
     y = bd.targets
     n, d = X.shape
-    if ranks is None:
-        ranks = rank_codes(X)
-    elif ranks.shape != (n, d):
-        raise ValueError(f"ranks has shape {ranks.shape}, expected {(n, d)}")
     min_leaf = spec.min_samples_leaf
     # A tree of n rows is less than n deep, so n stands for no limit.
     max_depth = n if spec.max_depth is None else spec.max_depth
@@ -294,7 +328,7 @@ def fit_tree(
     # Only an impure node above the depth limit with rows for two leaves
     # grows; one pushed without lists is a leaf.
     grows = 0 < pos < n and 0 < max_depth and n >= 2 * min_leaf
-    stack = [(0, _presort(ranks, y) if grows else None, 0, pos)]
+    stack = [(0, _presort(bd.ranks, y) if grows else None, 0, pos)]
     while stack:
         node, lists, depth, pos = stack.pop()
         max_depth_seen = max(max_depth_seen, depth)

@@ -49,41 +49,6 @@ def derive_seed(master_seed: int, *path: int) -> int:
     return int(words[0]) << 32 | int(words[1])
 
 
-@dataclass(frozen=True)
-class BinaryDataset:
-    """Feature matrix without NaN plus a single binary target column."""
-
-    features: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
-        targs = np.asarray(self.targets)
-        if feats.ndim != 2 or targs.ndim != 1:
-            raise ValueError("features must be 2-D and targets 1-D")
-        if feats.shape[0] != targs.shape[0]:
-            raise ValueError("features and targets disagree on row count")
-        if not ((targs == 0) | (targs == 1)).all():
-            raise ValueError("targets must be 0/1")
-        if np.isnan(feats).any():
-            raise ValueError("features must not be NaN")
-        targs = targs.astype(np.int8, copy=False)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "targets", targs)
-
-    @classmethod
-    def _of_checked(cls, features: np.ndarray, targets: np.ndarray) -> "BinaryDataset":
-        """A dataset of float64 features and int8 0/1 targets from a validated
-        one, such as a chain's buffers, built without checking them again."""
-        bd = object.__new__(cls)
-        vars(bd).update(features=features, targets=targets)
-        return bd
-
-    @property
-    def n(self) -> int:
-        return self.targets.shape[0]
-
-
 def bootstrap(ds: MultiLabelDataset, rng: RngStream) -> np.ndarray:
     """The row ids of a resample of n rows drawn uniformly with replacement,
     in draw order. Callers gather the rows they need, so a bagged round

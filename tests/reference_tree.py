@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from chainbalance.learner import BinaryModel, TreeSpec
-from chainbalance.sampling import BinaryDataset
+from chainbalance.learner import BinaryDataset, BinaryModel, TreeSpec
 
 
 def _best_split(

@@ -10,8 +10,8 @@ from chainbalance.chain import ChainModel, ChainSpec, predict_chain_batch, train
 from chainbalance.dataset import Attribute, MultiLabelDataset
 from chainbalance.ensemble import EnsembleSpec, train_ensemble
 from chainbalance.errors import ArityMismatch, SingleClassInput
-from chainbalance.learner import TreeSpec, fit_tree, predict_batch
-from chainbalance.sampling import BinaryDataset, RngStream
+from chainbalance.learner import BinaryDataset, TreeSpec, fit_tree, predict_batch
+from chainbalance.sampling import RngStream
 from conftest import dataset_with_label_counts, make_dataset, model_payload
 
 UNLIMITED = TreeSpec(max_depth=None, min_samples_leaf=1)
@@ -193,15 +193,17 @@ def test_chain_links_fit_on_presorted_orders(method, monkeypatch):
     real_fit = chain_module.fit_tree
     fitted = []
 
-    def checked_fit(bd, spec, ranks=None):
+    def checked_fit(bd, spec):
         # Every link's codes, the chain columns too, order like its features.
-        assert ranks is not None
+        ranks = bd.ranks
+        assert ranks.shape == bd.features.shape
         stable = np.argsort(bd.features, axis=0, kind="stable")
         assert np.array_equal(np.argsort(ranks, axis=0, kind="stable"), stable)
         for codes, values in zip(ranks.T, bd.features.T):
             assert np.array_equal(codes[:, None] == codes, values[:, None] == values)
-        model = real_fit(bd, spec, ranks)
-        assert model_payload(model) == model_payload(real_fit(bd, spec))
+        model = real_fit(bd, spec)
+        own = BinaryDataset(bd.features, bd.targets)
+        assert model_payload(model) == model_payload(real_fit(own, spec))
         fitted.append(bd.n)
         return model
 

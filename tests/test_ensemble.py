@@ -27,8 +27,8 @@ from chainbalance.errors import (
     ConfigError,
     ZeroMinorityCount,
 )
-from chainbalance.learner import BinaryModel, TreeSpec, fit_tree, predict_batch
-from chainbalance.sampling import BinaryDataset, RngStream, bootstrap
+from chainbalance.learner import BinaryDataset, BinaryModel, TreeSpec, fit_tree, predict_batch
+from chainbalance.sampling import RngStream, bootstrap
 from conftest import dataset_with_label_counts, make_dataset, model_payload
 
 

@@ -31,7 +31,7 @@ from chainbalance.experiment import (
     run_cv,
     write_json,
 )
-from chainbalance.learner import TreeSpec
+from chainbalance.learner import BinaryDataset, TreeSpec, fit_tree
 from chainbalance.metrics import build_report
 from chainbalance.sampling import RngStream, iterative_stratified_kfold
 from conftest import dataset_with_label_counts, make_dataset, write_dataset_files
@@ -194,7 +194,9 @@ def test_run_cv_ranks_the_dataset_once(files, tmp_path, monkeypatch):
 
 def test_a_dataset_is_ranked_when_built_and_never_again(tmp_path, monkeypatch):
     # Subsets of rows or columns, cells and trainers at one or two jobs all
-    # gather the codes ranked when the dataset was built.
+    # gather the codes ranked when the dataset was built; a chain link's fit
+    # sorts its chain's codes. A hand-built binary dataset ranks its own rows
+    # when built, and its fit sorts those.
     shapes = []
     rank_codes = dataset_mod.rank_codes
 
@@ -216,6 +218,10 @@ def test_a_dataset_is_ranked_when_built_and_never_again(tmp_path, monkeypatch):
             run_cell(ds, fold_of, config, 0, 1, m)
             train_ensemble(reduced, config.ensemble_spec(METHODS[m], seed=m), n_jobs=n_jobs)
     assert shapes == [(ds.n, ds.d)]
+    bd = BinaryDataset(ds.features[:30], ds.labels[:30, 1])
+    assert shapes == [(ds.n, ds.d), (30, ds.d)]
+    assert fit_tree(bd, TreeSpec()).node_count > 1
+    assert shapes == [(ds.n, ds.d), (30, ds.d)]
 
 
 def test_run_cv_timings_layout(files, tmp_path):
@@ -339,18 +345,26 @@ def test_run_cv_scores_half_without_two_class_label(tmp_path):
         assert empty[0]["report"]["per_label"][0]["auc_roc"] == 0.5
 
 
-def test_run_cv_writes_the_eccru3_floor_into_classifier_counts(tmp_path):
+# sha256 of cv_results.json of the run below, the one output pin that binds
+# ECCRU3's floor. It echoes the input paths, so the run uses relative ones.
+_FLOOR_CV_SHA256 = "21c14baf78b84600f7030f6a2645a0ef3408d707eac507659ae9f7c47c5bd252"
+
+
+def test_run_cv_writes_the_eccru3_floor_into_classifier_counts(tmp_path, monkeypatch):
     # Each training half holds about (5, 10, 15) minority rows: at c=4 the
     # budget is (8, 4, 2) for ECCRU2 and (8, 4, 4) under ECCRU3's floor.
+    monkeypatch.chdir(tmp_path)
     ds = dataset_with_label_counts(100, [10, 20, 30], seed=3)
-    arff, xml = write_dataset_files(ds, tmp_path)
+    arff, xml = write_dataset_files(ds, Path("."))
     config = _config(
-        arff, xml, tmp_path / "out", methods=("ECCRU2", "ECCRU3"), c=4, theta_min=1.0,
-        repeats=1,
+        Path(arff), Path(xml), Path("out"), methods=("ECCRU2", "ECCRU3"), c=4,
+        theta_min=1.0, repeats=1,
     )
     methods = run_cv(config)["methods"]
     counts = {m: [f["classifier_counts"] for f in methods[m]["folds"]] for m in methods}
     assert counts == {"ECCRU2": [[4, 4, 2]] * 2, "ECCRU3": [[4, 4, 4]] * 2}
+    digest = hashlib.sha256((Path("out") / "cv_results.json").read_bytes()).hexdigest()
+    assert digest == _FLOOR_CV_SHA256
 
 
 def test_run_cv_feature_reduction_applied(files, tmp_path):

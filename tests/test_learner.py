@@ -16,8 +16,7 @@ from chainbalance.dataset import (
     reduce_features_by_frequency,
 )
 from chainbalance.errors import ArityMismatch
-from chainbalance.learner import TreeSpec, fit_tree, predict_batch
-from chainbalance.sampling import BinaryDataset
+from chainbalance.learner import BinaryDataset, TreeSpec, fit_tree, predict_batch
 from conftest import model_payload
 from reference_tree import fit_tree as reference_fit_tree
 from reference_tree import predict_row as reference_predict_row
@@ -237,11 +236,11 @@ def test_fit_tree_matches_reference_kernel(kind, n, d, min_leaf, max_depth, code
         rows = gen.integers(0, 2 * n, size=n)
         X, ranks = pool[rows], rank_codes(pool)[rows]
     y = (gen.random(n) < gen.random()).astype(np.int8)
-    bd = BinaryDataset(X, y)
+    bd = BinaryDataset(X, y) if ranks is None else BinaryDataset._of_checked(X, y, ranks)
     spec = TreeSpec(max_depth=max_depth, min_samples_leaf=min_leaf)
     table = learner_module.GINI_TABLE_ROWS if table is None else table
     with mock.patch.object(learner_module, "GINI_TABLE_ROWS", table):
-        model = fit_tree(bd, spec, ranks)
+        model = fit_tree(bd, spec)
     assert model_payload(model) == model_payload(reference_fit_tree(bd, spec))
 
 
@@ -268,7 +267,7 @@ def test_blocked_search_matches_reference_kernel(kind, cells, n, d, min_leaf, ma
     spec = TreeSpec(max_depth=max_depth, min_samples_leaf=min_leaf)
     cells = learner_module.SEARCH_CELLS if cells is None else cells
     with mock.patch.object(learner_module, "SEARCH_CELLS", cells):
-        model = fit_tree(bd, spec, rank_codes(X))
+        model = fit_tree(bd, spec)
     assert model_payload(model) == model_payload(reference_fit_tree(bd, spec))
 
 
@@ -291,13 +290,12 @@ def test_fit_on_32_bit_codes_matches_16_bit(kind, cells, n, d, min_leaf, max_dep
     y = (gen.random(n) < gen.random()).astype(np.int8)
     bd = BinaryDataset(X, y)
     spec = TreeSpec(max_depth=max_depth, min_samples_leaf=min_leaf)
-    codes = rank_codes(X)
-    wide = codes.astype(np.uint32)
-    assert learner_module._presort(wide, y).dtype.itemsize == 12
+    wide = BinaryDataset._of_checked(X, y, bd.ranks.astype(np.uint32))
+    assert learner_module._presort(wide.ranks, y).dtype.itemsize == 12
     cells = learner_module.SEARCH_CELLS if cells is None else cells
     with mock.patch.object(learner_module, "SEARCH_CELLS", cells):
-        model = fit_tree(bd, spec, wide)
-        assert model_payload(model) == model_payload(fit_tree(bd, spec, codes))
+        model = fit_tree(wide, spec)
+        assert model_payload(model) == model_payload(fit_tree(bd, spec))
 
 
 def test_root_spanning_several_blocks_matches_reference():
@@ -315,7 +313,7 @@ def test_root_spanning_several_blocks_matches_reference():
     X[:, 0] = gen.normal(size=n)
     bd = BinaryDataset(X, y)
     spec = TreeSpec(max_depth=3)
-    model = fit_tree(bd, spec, rank_codes(X))
+    model = fit_tree(bd, spec)
     assert model.feature[0] == first
     assert model_payload(model) == model_payload(reference_fit_tree(bd, spec))
 
@@ -354,7 +352,7 @@ def test_extremes_search_matches_reference_kernel(
     with mock.patch.object(learner_module, "EXTREMES_CELLS", extremes), mock.patch.object(
         learner_module, "SEARCH_CELLS", cells
     ):
-        model = fit_tree(bd, spec, rank_codes(X))
+        model = fit_tree(bd, spec)
     assert model_payload(model) == model_payload(reference_fit_tree(bd, spec))
 
 
@@ -497,10 +495,10 @@ def test_fit_memory_is_bounded_per_feature_row():
         gen = np.random.default_rng(0)
         X = gen.normal(size=(n, d)).round(6)
         y = (X[:, 0] + X[:, 3] + gen.normal(size=n) > 1.0).astype(np.int8)
-        bd, ranks = BinaryDataset(X, y), rank_codes(X)
+        bd = BinaryDataset(X, y)
         tracemalloc.start()
         try:
-            model = fit_tree(bd, TreeSpec(), ranks)
+            model = fit_tree(bd, TreeSpec())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -627,9 +625,18 @@ def test_rank_codes_of_no_rows():
     assert codes.shape == (0, 3) and codes.dtype == np.uint16
 
 
-def test_fit_tree_rejects_ranks_of_wrong_shape():
-    bd = _bd([[0, 1], [1, 0], [2, 2]], [0, 1, 1])
-    with pytest.raises(ValueError, match="ranks has shape"):
-        fit_tree(bd, TreeSpec(), rank_codes(bd.features[:2]))
-    with pytest.raises(ValueError, match="ranks has shape"):
-        fit_tree(bd, TreeSpec(), rank_codes(bd.features).T)
+def test_binary_dataset_keeps_its_rows_and_their_codes():
+    # A hand-built dataset ranks read-only copies: a later write to the
+    # caller's arrays changes neither its rows nor the codes its fit sorts.
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([0, 0, 1, 1], dtype=np.int8)
+    bd = BinaryDataset(X, y)
+    X[:, 0] = [3.0, 2.0, 1.0, 0.0]
+    y[:] = 1 - y
+    assert bd.features[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert bd.targets.tolist() == [0, 0, 1, 1]
+    model = fit_tree(bd, UNLIMITED)
+    assert predict_batch(model, bd.features).tolist() == [0, 0, 1, 1]
+    assert model_payload(model) == model_payload(reference_fit_tree(bd, UNLIMITED))
+    assert not any(a.flags.writeable for a in (bd.features, bd.targets, bd.ranks))
+

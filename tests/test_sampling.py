@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from chainbalance.dataset import Attribute, MultiLabelDataset
 from chainbalance.errors import ConfigError, SingleClassInput
+from chainbalance.learner import BinaryDataset
 from chainbalance.sampling import (
-    BinaryDataset,
     RngStream,
     bootstrap,
     derive_seed,
